@@ -5,7 +5,6 @@ rank-one projections, debiasing), recovery solvers, simulated phase-shifting
 calibration, and Monte-Carlo harnesses.
 """
 
-from ._kernels import using_numba
 from .calibration import (
     FringeStack,
     WavefieldSet,
@@ -70,7 +69,6 @@ from .solvers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "using_numba",
     "Grid",
     "make_grid",
     "CoreLayout",

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .grid import Grid
 from .hermitian import HermitianMatrix
 from .layout import CoreLayout
 from .scene import SceneImage
-from .sensing import debias
+from .sensing import _plane_wave_sum, debias
 from .sketch import SketchBatch
 
 N_PHASE_STEPS = 8
@@ -105,10 +104,8 @@ def synth_fields(
     freqs = layout.core_frequencies
     fields = np.empty((layout.order, *grid.shape), dtype=np.complex128)
     for q in range(layout.order):
-        wave = _kernels.field_direct(
-            np.ascontiguousarray(freqs[q : q + 1]),
-            np.ones(1, dtype=np.complex128),
-            np.ascontiguousarray(points),
+        wave = _plane_wave_sum(
+            freqs[q : q + 1], np.ones(1, dtype=np.complex128), points
         ).reshape(grid.shape)
         if perturbation is None:
             fields[q] = wave

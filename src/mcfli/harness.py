@@ -248,8 +248,6 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
                 )
 
     if threads > 1:
-        # fork inherits warmed-up JIT kernels from the parent
-        run_trial(1, 4, 6, _child_seed(0, 0), spec.solver, 32, spec.threshold_db)
         with ProcessPoolExecutor(max_workers=threads) as pool:
             flat = list(pool.map(_run_trial_tuple, jobs, chunksize=8))
     else:

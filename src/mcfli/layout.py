@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .grid import Grid
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -97,11 +96,9 @@ class CoreLayout:
         Duplicate bins are summed; conjugate pairs land in mirrored bins, so a
         Hermitian input produces a conjugate-symmetric spectrum.
         """
-        return _kernels.scatter_bins(
-            np.ascontiguousarray(matrix.ravel()).astype(np.complex128),
-            np.ascontiguousarray(self.bin_map.ravel()),
-            self.grid.n_points,
-        )
+        out = np.zeros(self.grid.n_points, dtype=np.complex128)
+        np.add.at(out, self.bin_map.ravel(), matrix.ravel().astype(np.complex128))
+        return out
 
 
 def _build_layout(grid: Grid, positions: np.ndarray, kind: str) -> CoreLayout:

@@ -16,7 +16,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _kernels
 from .grid import Grid
 from .hermitian import HermitianMatrix
 from .layout import CoreLayout
@@ -120,7 +119,8 @@ class SropOperator:
         h = np.asarray(matrix, dtype=np.complex128)
         if h.shape != (self.q, self.q):
             raise ValueError(f"expected a {self.q}x{self.q} matrix, got {h.shape}")
-        y = _kernels.srop_quadratic(self._alphas, h)
+        alphas = self._alphas
+        y = np.einsum("mq,mq->m", alphas.conj(), alphas @ h.T)
         scale = max(np.linalg.norm(h), np.finfo(float).tiny)
         residue = np.abs(y.imag).max()
         if residue > IMAG_RESIDUE_RTOL * scale:
@@ -140,21 +140,16 @@ class SropOperator:
             raise ValueError(f"expected {self.m} weights, got shape {z.shape}")
         if self.centered:
             z = z - z.mean()
-        return _kernels.srop_accumulate(self._alphas, z)
+        alphas = self._alphas
+        return (alphas.T * z) @ alphas.conj()
 
-    def operator_norm(self, seed=0, iterations: int = 60) -> float:
-        """Spectral norm estimate by power iteration on ``adjoint . forward``."""
-        rng = np.random.default_rng(seed)
+    def _power_start(self, rng: np.random.Generator) -> np.ndarray:
+        """Random Hermitian start of the power iteration in
+        :func:`mcfli.solvers.linop.operator_norm` (the domain is matrices)."""
         x = rng.standard_normal((self.q, self.q)) + 1j * rng.standard_normal(
             (self.q, self.q)
         )
-        x = 0.5 * (x + x.conj().T)
-        lam = 1.0
-        for _ in range(iterations):
-            x = self.adjoint(self.forward(x))
-            lam = np.linalg.norm(x)
-            x = x / lam
-        return float(np.sqrt(lam))
+        return 0.5 * (x + x.conj().T)
 
 
 def srop_forward(matrix, sketches: SketchBatch) -> np.ndarray:
@@ -251,16 +246,6 @@ class CombinedOperator:
             self._dense = rows
         return self._dense
 
-    def operator_norm(self, seed=0, iterations: int = 60) -> float:
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(self.n)
-        lam = 1.0
-        for _ in range(iterations):
-            x = self.adjoint(self.forward(x))
-            lam = np.linalg.norm(x)
-            x = x / lam
-        return float(np.sqrt(lam))
-
 
 # ---------------------------------------------------------------------------
 # illumination modes
@@ -275,6 +260,14 @@ class SpeckleField:
 
     def __post_init__(self):
         self.values.setflags(write=False)
+
+
+def _plane_wave_sum(
+    freqs: np.ndarray, alpha: np.ndarray, points: np.ndarray
+) -> np.ndarray:
+    """Direct field synthesis ``h(x) = sum_q alpha_q exp(+2i pi nu_q . x)``
+    at each row of ``points``."""
+    return np.exp(2j * np.pi * (points @ freqs.T)) @ alpha
 
 
 def speckle_field(
@@ -305,10 +298,8 @@ def speckle_field(
         np.add.at(imp, core_bins, alpha)
         amplitude = grid.ifft(imp.reshape(grid.shape)) * np.sqrt(grid.n_points)
     elif path == "direct":
-        amplitude = _kernels.field_direct(
-            np.ascontiguousarray(layout.core_frequencies),
-            alpha,
-            np.ascontiguousarray(grid.points()),
+        amplitude = _plane_wave_sum(
+            layout.core_frequencies, alpha, grid.points()
         ).reshape(grid.shape)
     else:
         raise ValueError(f"unknown path {path!r}")

@@ -22,7 +22,6 @@ class SolverConfig:
 
     max_iterations: int = MAX_ITERATIONS_DEFAULT
     tol: float = TOL_DEFAULT
-    step_rule: str = "default"
     tau: float | None = None
     eps: float | None = None
     rho: float | None = None
@@ -50,7 +49,6 @@ class SolverConfig:
         payload = {
             "max_iterations": self.max_iterations,
             "tol": self.tol,
-            "step_rule": self.step_rule,
             "seed": self.seed,
         }
         for name in ("tau", "eps", "rho"):

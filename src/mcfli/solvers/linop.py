@@ -18,9 +18,6 @@ class MatrixOperator:
     def adjoint(self, z):
         return self.matrix.T @ z
 
-    def operator_norm(self, seed=0, iterations: int = 60) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
-
 
 def as_operator(op):
     if isinstance(op, np.ndarray):
@@ -31,11 +28,21 @@ def as_operator(op):
 
 
 def operator_norm(op, seed=0, iterations: int = 60) -> float:
-    """Spectral norm of the operator, by power iteration when not dense."""
-    if hasattr(op, "operator_norm"):
-        return op.operator_norm(seed=seed, iterations=iterations)
+    """Spectral norm of the operator: exact (SVD) for a dense matrix,
+    otherwise a power-iteration estimate.
+
+    The power iteration runs on ``adjoint . forward`` from a standard normal
+    vector of length ``op.n``, or from ``op._power_start(rng)`` when the
+    operator's domain is not flat real vectors (SROP acts on Hermitian
+    matrices).
+    """
+    if isinstance(op, MatrixOperator):
+        return float(np.linalg.norm(op.matrix, 2))
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(op.n)
+    if hasattr(op, "_power_start"):
+        x = op._power_start(rng)
+    else:
+        x = rng.standard_normal(op.n)
     lam = 1.0
     for _ in range(iterations):
         x = op.adjoint(op.forward(x))

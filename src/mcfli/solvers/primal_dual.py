@@ -1,13 +1,17 @@
 """First-order primal-dual solvers for the constrained recovery programs.
 
-All three programs share the same saddle-point iteration (dual ascent on the
-measurement side, proximal descent on the image/matrix side, extrapolated
+Two l1-constrained programs share one Chambolle-Pock loop (dual ascent on
+the measurement side, proximal descent on the image/matrix side, extrapolated
 primal) with step sizes satisfying ``sigma * tau * ||B||^2 < 1``:
 
 * l1-fidelity basis pursuit: minimize ``||x||_1`` s.t. ``||y - B x||_1 <= eps``;
 * PSD trace minimization: minimize ``tr(X)`` s.t. ``X >= 0``,
-  ``||y - A(X)||_1 <= eps`` (nuclear norm on the cone);
-* nonnegative TV-regularized least squares for 2-D scenes.
+  ``||y - A(X)||_1 <= eps`` (nuclear norm on the cone).
+
+They differ only in the starting point, the primal proximal step and the
+objective.  Nonnegative TV-regularized least squares for 2-D scenes has its
+own loop: a Condat-Vu splitting whose primal step also descends the smooth
+data term.
 """
 
 from __future__ import annotations
@@ -42,28 +46,28 @@ def _feasible(resid: float, eps: float) -> bool:
     return resid <= eps * (1.0 + CONSTRAINT_REL_SLACK) + CONSTRAINT_ABS_SLACK
 
 
-def solve_bpdn_l1(
-    op, y: np.ndarray, eps: float, config: SolverConfig | None = None
+def _l1_constrained_primal_dual(
+    op, y, eps, config, x, prox, objective
 ) -> RecoveryResult:
-    """Basis pursuit denoise with an l1-norm data-fidelity constraint.
+    """Minimize ``objective(x)`` s.t. ``||y - op.forward(x)||_1 <= eps``.
 
-    The constraint is active at the optimum, so iterates approach it from
-    both sides; the returned estimate is the feasible iterate of least
-    objective seen along the run.
+    ``x`` is the starting point and ``prox(v, g, tau)`` the primal step from
+    ``v`` along the back-projected dual ``g = op.adjoint(z)``.  The
+    constraint is active at the optimum, so iterates approach it from both
+    sides; the returned estimate is the feasible iterate of least objective
+    seen along the run.
     """
     config = config or SolverConfig()
     if eps is None:
         eps = config.eps
     if eps is None or eps < 0:
         raise ValueError("eps must be provided and nonnegative")
-    op = as_operator(op)
     y = np.asarray(y, dtype=np.float64)
 
     norm_b = max(operator_norm(op, seed=config.seed), 1e-300)
     ratio = 1.0
     sigma = tau = 0.99 / norm_b
 
-    x = np.zeros(op.n)
     z = np.zeros(op.m)
     fx = op.forward(x)
     fx_bar = fx.copy()
@@ -78,10 +82,10 @@ def solve_bpdn_l1(
             tau = 0.99 / (ratio * norm_b)
         u = z + sigma * fx_bar
         z = u - sigma * project_ball_around(u / sigma, y, eps)
-        x_new = soft_threshold(x - tau * op.adjoint(z), tau)
+        x_new = prox(x, op.adjoint(z), tau)
         fx_new = op.forward(x_new)
         resid = float(np.abs(y - fx_new).sum())
-        obj = float(np.abs(x_new).sum())
+        obj = objective(x_new)
         if _feasible(resid, eps) and obj < best_obj:
             best_x, best_obj, best_resid = x_new.copy(), obj, resid
         dx = np.linalg.norm(x_new - x)
@@ -108,6 +112,22 @@ def solve_bpdn_l1(
     )
 
 
+def solve_bpdn_l1(
+    op, y: np.ndarray, eps: float, config: SolverConfig | None = None
+) -> RecoveryResult:
+    """Basis pursuit denoise with an l1-norm data-fidelity constraint."""
+    op = as_operator(op)
+    return _l1_constrained_primal_dual(
+        op,
+        y,
+        eps,
+        config,
+        x=np.zeros(op.n),
+        prox=lambda v, g, tau: soft_threshold(v - tau * g, tau),
+        objective=lambda x: float(np.abs(x).sum()),
+    )
+
+
 def solve_trace_min_psd(
     srop_op, y: np.ndarray, eps: float, config: SolverConfig | None = None
 ) -> RecoveryResult:
@@ -117,61 +137,16 @@ def solve_trace_min_psd(
     an l1 bound on the measurement misfit.  The PSD projection runs a full
     Hermitian eigendecomposition per iteration (fine for moderate orders).
     """
-    config = config or SolverConfig()
-    if eps is None:
-        eps = config.eps
-    if eps is None or eps < 0:
-        raise ValueError("eps must be provided and nonnegative")
-    y = np.asarray(y, dtype=np.float64)
     q = srop_op.q
-
-    norm_a = max(operator_norm(srop_op, seed=config.seed), 1e-300)
-    ratio = 1.0
-    sigma = tau = 0.99 / norm_a
-
-    x = np.zeros((q, q), dtype=np.complex128)
-    z = np.zeros(srop_op.m)
-    fx = srop_op.forward(x)
-    fx_bar = fx.copy()
     eye = np.eye(q)
-    best_x, best_obj, best_resid = None, math.inf, math.inf
-    trace_log = [0.0]
-    converged = False
-    it = 0
-    for it in range(1, config.max_iterations + 1):
-        if best_x is None and it % ADAPT_EVERY == 0 and ratio < ADAPT_RATIO_CAP:
-            ratio *= ADAPT_GROWTH
-            sigma = 0.99 * ratio / norm_a
-            tau = 0.99 / (ratio * norm_a)
-        u = z + sigma * fx_bar
-        z = u - sigma * project_ball_around(u / sigma, y, eps)
-        x_new = project_psd_cone(x - tau * (srop_op.adjoint(z) + eye))
-        fx_new = srop_op.forward(x_new)
-        resid = float(np.abs(y - fx_new).sum())
-        obj = float(np.trace(x_new).real)
-        if _feasible(resid, eps) and obj < best_obj:
-            best_x, best_obj, best_resid = x_new.copy(), obj, resid
-        dx = np.linalg.norm(x_new - x)
-        fx_bar = 2.0 * fx_new - fx
-        x, fx = x_new, fx_new
-        trace_log.append(obj)
-        if (
-            dx <= config.tol * max(1.0, np.linalg.norm(x))
-            and it > SAFE_MIN_ITERS
-            and best_x is not None
-        ):
-            converged = True
-            break
-
-    if best_x is None:
-        best_x = x
-        best_resid = float(np.abs(y - fx).sum())
-    return RecoveryResult(
-        estimate=best_x,
-        iterations=it,
-        residual=best_resid,
-        converged=converged and _feasible(best_resid, eps),
-        objective_trace=np.asarray(trace_log),
+    return _l1_constrained_primal_dual(
+        srop_op,
+        y,
+        eps,
+        config,
+        x=np.zeros((q, q), dtype=np.complex128),
+        prox=lambda v, g, tau: project_psd_cone(v - tau * (g + eye)),
+        objective=lambda x: float(np.trace(x).real),
     )
 
 

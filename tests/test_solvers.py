@@ -20,8 +20,10 @@ from mcfli import (
 )
 from mcfli.sensing import SropOperator, srop_forward
 from mcfli.solvers import (
+    MatrixOperator,
     grad2d,
     div2d,
+    operator_norm,
     project_l1_ball,
     project_l1_ball_bisection,
     project_psd_cone,
@@ -40,6 +42,48 @@ def noiseless_instance(k=2, q=24, m=60, n1=256, seed=0):
     op = CombinedOperator(layout, sketches)
     truth = scene.values.ravel()
     return op.as_matrix(), op.forward(truth), truth
+
+
+# ---------------------------------------------------------------------------
+# operator norm
+# ---------------------------------------------------------------------------
+
+
+def hermitian_basis(q):
+    """Frobenius-orthonormal real basis of the q x q Hermitian matrices."""
+    basis = []
+    for j in range(q):
+        e = np.zeros((q, q), dtype=np.complex128)
+        e[j, j] = 1.0
+        basis.append(e)
+        for k in range(j + 1, q):
+            sym = np.zeros((q, q), dtype=np.complex128)
+            sym[j, k] = sym[k, j] = 1.0 / np.sqrt(2.0)
+            anti = np.zeros((q, q), dtype=np.complex128)
+            anti[j, k], anti[k, j] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
+            basis += [sym, anti]
+    return basis
+
+
+def assert_norm_estimate(estimate, exact):
+    assert 0.99 * exact <= estimate <= exact * (1 + 1e-12)
+
+
+def test_operator_norm_dense_is_exact():
+    b = np.random.default_rng(0).standard_normal((30, 50))
+    assert operator_norm(MatrixOperator(b)) == np.linalg.norm(b, 2)
+
+
+def test_operator_norm_combined_1d():
+    grid = make_grid(1, 64, 1.0)
+    op = CombinedOperator(random_layout_1d(grid, 10, 1), draw_sketches(10, 40, 2))
+    assert_norm_estimate(operator_norm(op), np.linalg.norm(op.as_matrix(), 2))
+
+
+def test_operator_norm_centered_srop():
+    op = SropOperator(draw_sketches(5, 30, 3), centered=True)
+    matrix = np.column_stack([op.forward(e) for e in hermitian_basis(op.q)])
+    assert_norm_estimate(operator_norm(op), np.linalg.norm(matrix, 2))
 
 
 # ---------------------------------------------------------------------------
