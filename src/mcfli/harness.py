@@ -48,6 +48,7 @@ class TrialResult:
     success: bool
     visibilities: int
     iterations: int
+    converged: bool  # the solver's flag: False after an iteration-cap hit
 
 
 def run_trial(
@@ -99,6 +100,7 @@ def run_trial(
         success=snr >= threshold_db,
         visibilities=layout.distinct_visibilities,
         iterations=result.iterations,
+        converged=result.converged,
     )
 
 
@@ -182,7 +184,7 @@ def _trial_args(spec: SweepSpec, k: int, q: int, m: int, trial: int) -> tuple:
 
 def _run_trial_tuple(args) -> tuple:
     r = run_trial(*args)
-    return (r.snr_db, r.success, r.visibilities, r.iterations)
+    return (r.snr_db, r.success, r.visibilities, r.iterations, r.converged)
 
 
 def mean_visibility_count(

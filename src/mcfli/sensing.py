@@ -144,7 +144,7 @@ class SropOperator:
         return (alphas.T * z) @ alphas.conj()
 
     def _power_start(self, rng: np.random.Generator) -> np.ndarray:
-        """Random Hermitian start of the power iteration in
+        """Random Hermitian start of the Lanczos iteration in
         :func:`mcfli.solvers.linop.operator_norm` (the domain is matrices)."""
         x = rng.standard_normal((self.q, self.q)) + 1j * rng.standard_normal(
             (self.q, self.q)

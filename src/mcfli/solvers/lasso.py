@@ -3,10 +3,9 @@
 Minimizes ``0.5 * ||y - B x||^2`` over the l1 ball of radius ``tau``.
 Steps use the Barzilai-Borwein scale with a nonmonotone Armijo line search
 over a sliding window, so the objective may rise transiently but never above
-the window maximum.  The step scale starts at ``1 / ||B||^2``, with the norm
-from :func:`~mcfli.solvers.linop.operator_norm`: the exact SVD norm for the
-dense matrices the harness passes, a power-iteration estimate for
-matrix-free operators.
+the window maximum.  The step scale starts at ``1 / ||B||^2``, with ``||B||``
+the Lanczos upper bound from :func:`~mcfli.solvers.linop.operator_norm`, for
+dense matrices and matrix-free operators alike.
 """
 
 from __future__ import annotations

@@ -2,16 +2,19 @@
 
 Two l1-constrained programs share one Chambolle-Pock loop (dual ascent on
 the measurement side, proximal descent on the image/matrix side, extrapolated
-primal) with step sizes satisfying ``sigma * tau * ||B||^2 < 1``:
+primal):
 
 * l1-fidelity basis pursuit: minimize ``||x||_1`` s.t. ``||y - B x||_1 <= eps``;
 * PSD trace minimization: minimize ``tr(X)`` s.t. ``X >= 0``,
   ``||y - A(X)||_1 <= eps`` (nuclear norm on the cone).
 
 They differ only in the starting point, the primal proximal step and the
-objective.  Nonnegative TV-regularized least squares for 2-D scenes has its
-own loop: a Condat-Vu splitting whose primal step also descends the smooth
-data term.
+objective.  Step sizes satisfy ``sigma * tau * ||B||^2 < 1`` with ``||B||``
+the Lanczos upper bound from :func:`~mcfli.solvers.linop.operator_norm`, so
+the rule holds for the true norm, not only for an estimate of it.
+
+Nonnegative TV-regularized least squares for 2-D scenes has its own loop: a
+Condat-Vu splitting whose primal step also descends the smooth data term.
 """
 
 from __future__ import annotations

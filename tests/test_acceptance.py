@@ -3,7 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` (the summary lines are
 also appended to ``acceptance_report.txt`` in the working directory).
 The statistical criteria use fixed master seeds so outcomes are
-reproducible run to run.
+reproducible run to run.  Criteria 5, 6 and 10 take minutes each and carry
+the ``slow`` marker, so ``pytest -m "not slow"`` leaves them out.
 """
 
 import os
@@ -253,6 +254,7 @@ def _high_success_knee(xs, rates, level=0.95):
     return knee
 
 
+@pytest.mark.slow
 def test_criterion_05_transition_in_m():
     t0 = time.time()
     q, realized = find_core_count_for_visibility_target(256, 240, seed=0)
@@ -289,6 +291,7 @@ def test_criterion_05_transition_in_m():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_06_transition_in_visibilities():
     t0 = time.time()
     m_fixed = 122
@@ -447,6 +450,7 @@ def test_criterion_09_program_equivalences():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_10_demo_ordering():
     t0 = time.time()
     report = run_imaging_demo(

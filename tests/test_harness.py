@@ -13,6 +13,7 @@ from mcfli.harness import (
     transition_midpoint,
 )
 from mcfli import CombinedOperator, draw_sketches, make_grid, random_layout_1d
+from mcfli.solvers.config import MAX_ITERATIONS_DEFAULT
 from mcfli.solvers.metrics import SNR_CAP_DB
 
 
@@ -34,6 +35,22 @@ def test_trial_succeeds_in_white_region():
 def test_trial_fails_below_transition():
     r = run_trial(10, 16, 20, seed=2)
     assert not r.success
+
+
+def test_cap_hit_trial_reports_not_converged():
+    # acceptance block (master seed 20260809), cell K=4, q=4, M=122: trial 2
+    # runs into the iteration cap, trial 23 converges to a wrong point
+    def seed(t):
+        return np.random.SeedSequence((20260809, 4, 4, 122, t))
+
+    capped = run_trial(4, 4, 122, seed(2))
+    assert not capped.converged
+    assert capped.iterations == MAX_ITERATIONS_DEFAULT
+    assert not capped.success
+    failed = run_trial(4, 4, 122, seed(23))
+    assert failed.converged
+    assert failed.iterations < MAX_ITERATIONS_DEFAULT
+    assert not failed.success
 
 
 def test_trial_rejects_bad_args():
