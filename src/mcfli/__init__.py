@@ -35,7 +35,6 @@ from .scene import (
 )
 from .sensing import (
     CombinedOperator,
-    InterferometricOperator,
     MeasurementRecord,
     NoiseModel,
     SpeckleField,
@@ -89,7 +88,6 @@ __all__ = [
     "gaussian_vignette",
     "HermitianMatrix",
     "random_hermitian",
-    "InterferometricOperator",
     "SropOperator",
     "CombinedOperator",
     "SpeckleField",

@@ -43,7 +43,11 @@ class WavefieldSet:
         return self.fields.shape[0]
 
     def predict_speckle(self, alpha: np.ndarray) -> np.ndarray:
-        """Intensity produced by a sketch through these fields."""
+        """Intensity produced by a sketch through these fields.
+
+        ``alpha`` is one sketch ``(q,)`` or a batch ``(m, q)``; the result is
+        grid-shaped, with a leading axis of length ``m`` for a batch.
+        """
         amp = np.tensordot(np.asarray(alpha, dtype=np.complex128), self.fields, axes=1)
         out = np.abs(amp) ** 2
         if self.mask is not None:
@@ -191,13 +195,8 @@ def generalized_forward(
         raise ValueError("scene and fields are defined on different grids")
     if sketches.q != fields.order:
         raise ValueError("sketch length does not match the number of fields")
-    pixvol = fields.grid.pixel_volume
-    vals = scene.values
-    z = np.empty(sketches.m)
-    alphas = sketches.alphas
-    for m_idx in range(sketches.m):
-        z[m_idx] = pixvol * np.sum(fields.predict_speckle(alphas[m_idx]) * vals)
-    return debias(z)
+    speckles = fields.predict_speckle(sketches.alphas).reshape(sketches.m, -1)
+    return debias(fields.grid.pixel_volume * (speckles @ scene.values.ravel()))
 
 
 def speckle_cross_correlation(predicted: np.ndarray, truth: np.ndarray) -> float:

@@ -132,15 +132,6 @@ class SweepSpec:
         if self.threshold_db <= 0:
             raise ValueError("threshold must be positive")
 
-    @classmethod
-    def from_json(cls, text_or_path) -> "SweepSpec":
-        try:
-            data = json.loads(text_or_path)
-        except (json.JSONDecodeError, TypeError):
-            with open(text_or_path) as fh:
-                data = json.load(fh)
-        return cls(**data)
-
 
 @dataclass
 class SweepCell:
@@ -201,14 +192,14 @@ def mean_visibility_count(
 
 
 def find_core_count_for_visibility_target(
-    n1: int, target: int, seed, probes: int = 256, tol: float = 0.02
+    n1: int, target: int, seed, probes: int = 256
 ) -> tuple[int, float]:
     """Smallest-error core count whose mean distinct-visibility count
     brackets ``target``; returns ``(q, realized mean)``.
 
     The mean grows monotonically with ``q``, so the scan stops at the first
-    crossing and keeps the closer side.  A mismatch beyond ``tol`` (relative)
-    is tolerated but reported through the realized mean.
+    crossing and keeps the closer side; any mismatch is reported through the
+    realized mean.
     """
     prev: tuple[int, float] | None = None
     q = 2
@@ -443,7 +434,6 @@ def run_imaging_demo(
     q: int = 110,
     m_values: list[int] | None = None,
     compare_q: list[int] | None = None,
-    rho_values: list[float] | None = None,
     rho_scale_exponents: tuple = (-3.0, -2.0, -1.0),
     seed: int = 0,
     include_rs: bool = True,
@@ -453,10 +443,9 @@ def run_imaging_demo(
 
     Reconstructs a resolution-target cartoon for each (core count,
     measurement count) pair, sweeping the TV weight logarithmically (powers
-    ``rho_scale_exponents`` of the data scale, or explicit ``rho_values``)
-    and keeping the best SNR.  Writes graymaps, binary arrays and a JSON
-    report when ``out_dir`` is set.  Also images the scene in
-    raster-scanning mode for comparison.
+    ``rho_scale_exponents`` of the data scale) and keeping the best SNR.
+    Writes graymaps, binary arrays and a JSON report when ``out_dir`` is set.
+    Also images the scene in raster-scanning mode for comparison.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -486,12 +475,9 @@ def run_imaging_demo(
             op = CombinedOperator(layout, sketches)
             dense = op.as_matrix()
             y = op.forward(truth)
-            if rho_values is None:
-                scale = float(np.abs(dense.T @ y).max()) / m
-                rhos = [scale * 10.0**e for e in rho_scale_exponents]
-            else:
-                rhos = rho_values
-            for rho in rhos:
+            scale = float(np.abs(dense.T @ y).max()) / m
+            for e in rho_scale_exponents:
+                rho = scale * 10.0**e
                 res = solve_tv_nonneg(dense, y, rho, config, shape=grid.shape)
                 snr = vignetted_snr(res.estimate, truth, scene.vignette)
                 entries.append(

@@ -2,11 +2,13 @@
 
 The chain factors as: vignetted image -> interferometric matrix (one Fourier
 coefficient per core pair) -> symmetric rank-one projections against the
-sketching vectors -> mean-subtraction (debiasing).  Every operator exposes an
-exact adjoint, and the fused image-to-measurement map is available both
-matrix-free (:class:`CombinedOperator`) and as a dense matrix for small
-problems.  The legacy raster-scanning and speckle-illumination modes are
-implemented on the same interferometric core.
+sketching vectors -> mean-subtraction (debiasing).  The first map is written
+once, as :func:`image_to_matrix` (one FFT, then a gather of the visibility
+bins) with its exact adjoint :func:`matrix_to_image` (scatter, then one
+inverse FFT); the fused operator, its dense matrix and the raster scan all
+compose that pair, and :func:`interferometric_matrix` keeps the pixel-by-pixel
+``direct`` sum as the oracle.  Speckles have one synthesis, the plane-wave sum
+at the cores' own frequencies, shared with the calibration's synthetic fields.
 """
 
 from __future__ import annotations
@@ -37,45 +39,42 @@ def _check_same_grid(scene: SceneImage, layout: CoreLayout):
 # ---------------------------------------------------------------------------
 
 
-class InterferometricOperator:
-    """Image -> Hermitian matrix of Fourier coefficients on the visibilities.
+def image_to_matrix(layout: CoreLayout, values: np.ndarray) -> np.ndarray:
+    """Raw (un-symmetrized) interferometric matrix of a grid-shaped real
+    image: one FFT, then the visibility bins gathered per core pair."""
+    grid = layout.grid
+    return grid.fourier_scale * layout.gather(grid.fft(values).ravel())
 
-    Two evaluation paths: ``fft`` computes one FFT and gathers the visibility
-    bins; ``direct`` evaluates the Fourier sums pixel by pixel through the
-    steering vectors.  The two agree to machine precision whenever the layout
-    visibilities are on-grid; ``direct`` remains exact for off-grid layouts
-    and serves as the oracle.
-    """
 
-    def __init__(self, layout: CoreLayout, path: str = "fft"):
-        if path not in ("fft", "direct"):
-            raise ValueError(f"unknown path {path!r}")
-        self.layout = layout
-        self.grid = layout.grid
-        self.path = path
-
-    def apply_values(self, values: np.ndarray) -> np.ndarray:
-        """Raw (un-symmetrized) matrix from a grid-shaped real image."""
-        grid = self.grid
-        if self.path == "fft":
-            spectrum = grid.fft(values)
-            return grid.fourier_scale * self.layout.gather(spectrum.ravel())
-        freqs = self.layout.core_frequencies
-        steer = np.exp(-2j * np.pi * (grid.points() @ freqs.T))  # (n, q)
-        weighted = steer.T * values.ravel()
-        return grid.pixel_volume * (weighted @ steer.conj())
-
-    def apply(self, scene: SceneImage) -> HermitianMatrix:
-        _check_same_grid(scene, self.layout)
-        return HermitianMatrix(self.apply_values(scene.vignetted_values))
+def matrix_to_image(layout: CoreLayout, matrix: np.ndarray) -> np.ndarray:
+    """Exact adjoint of :func:`image_to_matrix`: the matrix entries scattered
+    onto their visibility bins, then one inverse FFT; grid-shaped and real."""
+    grid = layout.grid
+    image = grid.ifft(layout.scatter(matrix).reshape(grid.shape))
+    return np.real(image) * grid.fourier_scale
 
 
 def interferometric_matrix(
     scene: SceneImage, layout: CoreLayout, path: str = "fft"
 ) -> HermitianMatrix:
     """The Hermitian matrix whose ``(j, k)`` entry is the vignetted image's
-    Fourier coefficient at the visibility of cores ``j`` and ``k``."""
-    return InterferometricOperator(layout, path=path).apply(scene)
+    Fourier coefficient at the visibility of cores ``j`` and ``k``.
+
+    ``fft`` is :func:`image_to_matrix`; ``direct`` evaluates the Fourier sums
+    pixel by pixel through the steering vectors.  The two agree to machine
+    precision whenever the layout visibilities are on-grid; ``direct``
+    remains exact for off-grid layouts and serves as the oracle.
+    """
+    _check_same_grid(scene, layout)
+    values = scene.vignetted_values
+    if path == "fft":
+        return HermitianMatrix(image_to_matrix(layout, values))
+    if path != "direct":
+        raise ValueError(f"unknown path {path!r}")
+    grid = layout.grid
+    steer = np.exp(-2j * np.pi * (grid.points() @ layout.core_frequencies.T))  # (n, q)
+    weighted = steer.T * values.ravel()
+    return HermitianMatrix(grid.pixel_volume * (weighted @ steer.conj()))
 
 
 def interferometric_rank(
@@ -222,26 +221,17 @@ class CombinedOperator:
         raise ValueError(f"image shape {v.shape} does not match the grid")
 
     def forward(self, v: np.ndarray) -> np.ndarray:
-        spectrum = self.grid.fft(self._shaped(v))
-        j = self.grid.fourier_scale * self.layout.gather(spectrum.ravel())
-        return self.srop.forward(j)
+        return self.srop.forward(image_to_matrix(self.layout, self._shaped(v)))
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
-        w = self.srop.adjoint(z)
-        u = self.layout.scatter(w).reshape(self.grid.shape)
-        image = np.real(self.grid.ifft(u)) * self.grid.fourier_scale
-        return image.ravel()
+        return matrix_to_image(self.layout, self.srop.adjoint(z)).ravel()
 
     def as_matrix(self) -> np.ndarray:
         """Dense real matrix equal to ``forward`` on flat images."""
         if self._dense is None:
-            alphas = self.sketches.alphas
             rows = np.empty((self.m, self.n))
-            for m_idx in range(self.m):
-                a = alphas[m_idx]
-                u = self.layout.scatter(np.outer(a, a.conj()))
-                row = np.real(self.grid.ifft(u.reshape(self.grid.shape)))
-                rows[m_idx] = self.grid.fourier_scale * row.ravel()
+            for m_idx, a in enumerate(self.sketches.alphas):
+                rows[m_idx] = matrix_to_image(self.layout, np.outer(a, a.conj())).ravel()
             rows -= rows.mean(axis=0)
             self._dense = rows
         return self._dense
@@ -266,7 +256,8 @@ def _plane_wave_sum(
     freqs: np.ndarray, alpha: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
     """Direct field synthesis ``h(x) = sum_q alpha_q exp(+2i pi nu_q . x)``
-    at each row of ``points``."""
+    at each row of ``points``; a ``(q, m)`` ``alpha`` gives ``m`` fields as
+    columns."""
     return np.exp(2j * np.pi * (points @ freqs.T)) @ alpha
 
 
@@ -274,36 +265,19 @@ def speckle_field(
     layout: CoreLayout,
     alpha: np.ndarray,
     vignette: np.ndarray | None = None,
-    path: str = "auto",
 ) -> SpeckleField:
     """Illumination intensity produced by one sketching vector.
 
-    The field amplitude is the interference sum of the per-core plane waves;
-    the intensity is its squared modulus under the vignetting window.  The
-    ``fft`` path synthesizes the amplitude from an impulse map on the
-    frequency grid (exact for on-grid layouts); ``direct`` sums per pixel and
-    is kept as the oracle and the off-grid fallback.
+    The field amplitude is the interference sum of the per-core plane waves,
+    synthesized pixel by pixel at the cores' own (unsnapped) frequencies;
+    the intensity is its squared modulus under the vignetting window.
     """
     grid = layout.grid
     alpha = np.asarray(alpha, dtype=np.complex128)
     if alpha.shape != (layout.order,):
         raise ValueError(f"sketch length {alpha.shape} != cores {layout.order}")
-    if path == "auto":
-        path = "fft" if layout.max_snap_residual < 1e-9 else "direct"
-    if path == "fft":
-        core_bins = grid.bin_index(
-            np.rint(layout.core_frequencies * grid.fov).astype(np.int64)
-        )
-        imp = np.zeros(grid.n_points, dtype=np.complex128)
-        np.add.at(imp, core_bins, alpha)
-        amplitude = grid.ifft(imp.reshape(grid.shape)) * np.sqrt(grid.n_points)
-    elif path == "direct":
-        amplitude = _plane_wave_sum(
-            layout.core_frequencies, alpha, grid.points()
-        ).reshape(grid.shape)
-    else:
-        raise ValueError(f"unknown path {path!r}")
-    intensity = np.abs(amplitude) ** 2
+    amplitude = _plane_wave_sum(layout.core_frequencies, alpha, grid.points())
+    intensity = np.abs(amplitude.reshape(grid.shape)) ** 2
     if vignette is not None:
         intensity = vignette * intensity
     return SpeckleField(grid=grid, values=intensity, alpha=alpha)
@@ -333,10 +307,9 @@ def rs_measure(scene: SceneImage, layout: CoreLayout, tilt) -> float:
 
 def rs_scan(scene: SceneImage, layout: CoreLayout) -> np.ndarray:
     """Full raster scan over the grid: the image blurred by the array PSF."""
+    grid = layout.grid
     mat = interferometric_matrix(scene, layout)
-    u = layout.scatter(mat.data).reshape(layout.grid.shape)
-    scan = layout.grid.ifft(u) * np.sqrt(layout.grid.n_points)
-    return np.real(scan)
+    return matrix_to_image(layout, mat.data) * (np.sqrt(grid.n_points) / grid.fourier_scale)
 
 
 def si_measure(
@@ -354,10 +327,10 @@ def si_measure(
     _check_same_grid(scene, layout)
     if vignette is None:
         vignette = scene.vignette
-    cols = np.empty((layout.grid.n_points, sketches.m))
-    for m_idx in range(sketches.m):
-        field = speckle_field(layout, sketches.alphas[m_idx], vignette=vignette)
-        cols[:, m_idx] = field.values.ravel()
+    points = layout.grid.points()
+    cols = np.abs(_plane_wave_sum(layout.core_frequencies, sketches.alphas.T, points)) ** 2
+    if vignette is not None:
+        cols *= vignette.reshape(-1, 1)
     y = layout.grid.pixel_volume * (cols.T @ scene.values.ravel())
     return y, cols
 

@@ -13,28 +13,20 @@ TOL_DEFAULT = 1e-8
 
 @dataclass
 class SolverConfig:
-    """Knobs common to every recovery program.
-
-    At most one of the program parameters (``tau`` radius, ``eps`` fidelity
-    budget, ``rho`` penalty) may be set; each solve function also accepts the
-    value directly, which takes precedence.
+    """Knobs common to every recovery program: the iteration cap and the
+    stopping tolerance.  The program parameter itself (``tau`` radius,
+    ``eps`` fidelity budget, ``rho`` penalty) is an argument of each solve
+    function.
     """
 
     max_iterations: int = MAX_ITERATIONS_DEFAULT
     tol: float = TOL_DEFAULT
-    tau: float | None = None
-    eps: float | None = None
-    rho: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        n_set = sum(v is not None for v in (self.tau, self.eps, self.rho))
-        if n_set > 1:
-            raise ValueError("set at most one of tau, eps, rho")
 
     @classmethod
     def from_json(cls, text_or_path) -> "SolverConfig":
@@ -46,16 +38,7 @@ class SolverConfig:
         return cls(**data)
 
     def to_json(self) -> str:
-        payload = {
-            "max_iterations": self.max_iterations,
-            "tol": self.tol,
-            "seed": self.seed,
-        }
-        for name in ("tau", "eps", "rho"):
-            value = getattr(self, name)
-            if value is not None:
-                payload[name] = value
-        return json.dumps(payload)
+        return json.dumps({"max_iterations": self.max_iterations, "tol": self.tol})
 
 
 @dataclass

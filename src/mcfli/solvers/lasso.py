@@ -24,10 +24,8 @@ def solve_lasso(
     op, y: np.ndarray, tau: float, config: SolverConfig | None = None
 ) -> RecoveryResult:
     config = config or SolverConfig()
-    if tau is None:
-        tau = config.tau
-    if tau is None or tau < 0:
-        raise ValueError("tau must be provided and nonnegative")
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
     op = as_operator(op)
     y = np.asarray(y, dtype=np.float64)
 
@@ -41,7 +39,7 @@ def solve_lasso(
             objective_trace=np.array([0.5 * float(y @ y)]),
         )
 
-    norm_b = operator_norm(op, seed=config.seed)
+    norm_b = operator_norm(op)
     lipschitz = max(norm_b**2, 1e-300)
     step = 1.0 / lipschitz
 

@@ -61,13 +61,11 @@ def _l1_constrained_primal_dual(
     seen along the run.
     """
     config = config or SolverConfig()
-    if eps is None:
-        eps = config.eps
-    if eps is None or eps < 0:
-        raise ValueError("eps must be provided and nonnegative")
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
     y = np.asarray(y, dtype=np.float64)
 
-    norm_b = max(operator_norm(op, seed=config.seed), 1e-300)
+    norm_b = max(operator_norm(op), 1e-300)
     ratio = 1.0
     sigma = tau = 0.99 / norm_b
 
@@ -194,10 +192,8 @@ def solve_tv_nonneg(
     term (Condat-Vu splitting).
     """
     config = config or SolverConfig()
-    if rho is None:
-        rho = config.rho
-    if rho is None or rho <= 0:
-        raise ValueError("rho must be provided and positive")
+    if rho <= 0:
+        raise ValueError("rho must be positive")
     op_obj = as_operator(op)
     y = np.asarray(y, dtype=np.float64)
     if shape is None:
@@ -207,7 +203,7 @@ def solve_tv_nonneg(
         shape = grid.shape
     m = y.size
 
-    norm_b = operator_norm(op_obj, seed=config.seed)
+    norm_b = operator_norm(op_obj)
     lipschitz = max(norm_b**2 / m, 1e-300)
     sigma = 0.5 * lipschitz / GRAD_NORM_SQ
     tau = 0.99 / (lipschitz / 2.0 + sigma * GRAD_NORM_SQ)

@@ -317,13 +317,21 @@ def test_combined_matches_unfused_pipeline():
     assert np.linalg.norm(fused - unfused) <= 1e-12 * scale
 
 
-def test_dense_matrix_matches_operator():
-    op = _combined(n1=64, q=7, m=18, seed=7)
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d-comb", "2d-spiral"])
+def test_dense_matrix_matches_operator(dim):
+    # the 2-D Fermat spiral is off-grid, so its visibilities are snapped
+    if dim == 1:
+        op = _combined(n1=64, q=7, m=18, seed=7)
+    else:
+        g = make_grid(2, 16, 1.0)
+        op = CombinedOperator(fermat_spiral_layout(g, 12), draw_sketches(12, 60, seed=7))
     dense = op.as_matrix()
-    rng = np.random.default_rng(8)
+    rng, rng_z = np.random.default_rng(8), np.random.default_rng(9)
     for _ in range(5):
         v = rng.standard_normal(op.n)
+        z = rng_z.standard_normal(op.m)
         assert np.allclose(dense @ v, op.forward(v), atol=1e-12)
+        assert np.allclose(dense.T @ z, op.adjoint(z), atol=1e-12)
 
 
 def test_combined_shape_validation():

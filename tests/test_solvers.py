@@ -381,8 +381,8 @@ def test_tv_norm_of_constant_is_zero():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tau=1.0, eps=1.0)
+    with pytest.raises(TypeError):
+        SolverConfig(tau=1.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
@@ -390,9 +390,12 @@ def test_config_validation():
 
 
 def test_config_json_roundtrip():
-    cfg = SolverConfig(max_iterations=123, tol=1e-6, tau=2.5, seed=9)
+    cfg = SolverConfig(max_iterations=123, tol=1e-6)
     back = SolverConfig.from_json(cfg.to_json())
     assert back == cfg
+    assert SolverConfig.from_json('{"tol": 1e-6}') == SolverConfig(tol=1e-6)
+    with pytest.raises(TypeError):
+        SolverConfig.from_json('{"tol": 1e-6, "seed": 0}')
 
 
 def test_result_trace_csv():
