@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, make_grid
-from .layout import CoreLayout, downsample_layout, fermat_spiral_layout, random_layout_1d
-from .scene import SceneImage, bar_target_scene, sparse_scene
+from .grid import make_grid
+from .layout import downsample_layout, fermat_spiral_layout, random_layout_1d
+from .scene import bar_target_scene, sparse_scene
 from .sensing import CombinedOperator, rs_scan
 from .serialization import scene_from_json, write_complex_matrix, write_pgm
 from .sketch import draw_sketches
 from .solvers import (
+    MatrixOperator,
     SolverConfig,
     solve_bpdn_l1,
     solve_lasso,
@@ -476,9 +477,12 @@ def run_imaging_demo(
             dense = op.as_matrix()
             y = op.forward(truth)
             scale = float(np.abs(dense.T @ y).max()) / m
+            # one operator per (q, m): its norm bound is computed once and
+            # reused for every TV weight
+            dense_op = MatrixOperator(dense)
             for e in rho_scale_exponents:
                 rho = scale * 10.0**e
-                res = solve_tv_nonneg(dense, y, rho, config, shape=grid.shape)
+                res = solve_tv_nonneg(dense_op, y, rho, config, shape=grid.shape)
                 snr = vignetted_snr(res.estimate, truth, scene.vignette)
                 entries.append(
                     DemoEntry(q=qq, m=m, rho=float(rho), snr_db=snr,

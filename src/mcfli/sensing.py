@@ -95,7 +95,9 @@ class SropOperator:
     ``forward`` computes the quadratic forms of the matrix against each
     sketching vector; with ``centered=True`` the measurement mean is
     subtracted, which makes the map blind to the matrix diagonal (unit-modulus
-    sketches put identical weight on every diagonal entry).
+    sketches put identical weight on every diagonal entry).  The sketch
+    matrix and its conjugate are cached on first use, so repeated calls
+    (one forward and one adjoint per solver iteration) build neither again.
     """
 
     def __init__(self, sketches: SketchBatch, centered: bool = False):
@@ -105,6 +107,10 @@ class SropOperator:
     @cached_property
     def _alphas(self) -> np.ndarray:
         return np.ascontiguousarray(self.sketches.alphas)
+
+    @cached_property
+    def _alphas_conj(self) -> np.ndarray:
+        return self._alphas.conj()
 
     @property
     def m(self) -> int:
@@ -118,8 +124,7 @@ class SropOperator:
         h = np.asarray(matrix, dtype=np.complex128)
         if h.shape != (self.q, self.q):
             raise ValueError(f"expected a {self.q}x{self.q} matrix, got {h.shape}")
-        alphas = self._alphas
-        y = np.einsum("mq,mq->m", alphas.conj(), alphas @ h.T)
+        y = np.einsum("mq,mq->m", self._alphas_conj, self._alphas @ h.T)
         scale = max(np.linalg.norm(h), np.finfo(float).tiny)
         residue = np.abs(y.imag).max()
         if residue > IMAG_RESIDUE_RTOL * scale:
@@ -139,8 +144,7 @@ class SropOperator:
             raise ValueError(f"expected {self.m} weights, got shape {z.shape}")
         if self.centered:
             z = z - z.mean()
-        alphas = self._alphas
-        return (alphas.T * z) @ alphas.conj()
+        return (self._alphas.T * z) @ self._alphas_conj
 
     def _power_start(self, rng: np.random.Generator) -> np.ndarray:
         """Random Hermitian start of the Lanczos iteration in

@@ -10,6 +10,8 @@ dense matrices and matrix-free operators alike.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import RecoveryResult, SolverConfig
@@ -42,6 +44,7 @@ def solve_lasso(
     norm_b = operator_norm(op)
     lipschitz = max(norm_b**2, 1e-300)
     step = 1.0 / lipschitz
+    step_min, step_max = 1e-8 / lipschitz, 1e8 / lipschitz
 
     r = op.forward(x) - y
     g = op.adjoint(r)
@@ -49,32 +52,32 @@ def solve_lasso(
     trace = [f]
     converged = False
     it = 0
+    # v.dot(w) is the BLAS dot that v @ w reaches with less dispatch, and
+    # sqrt(v.dot(v)) is what np.linalg.norm computes for contiguous real v
     for it in range(1, config.max_iterations + 1):
         direction = project_l1_ball(x - step * g, tau) - x
-        d_norm = np.linalg.norm(direction)
-        if d_norm <= config.tol * max(1.0, np.linalg.norm(x)):
+        d_norm = math.sqrt(direction.dot(direction))
+        if d_norm <= config.tol * max(1.0, math.sqrt(x.dot(x))):
             converged = True
             break
         f_ref = max(trace[-SAFEGUARD_WINDOW:])
-        slope = float(g @ direction)
+        slope = float(g.dot(direction))
         bd = op.forward(direction)
         alpha = 1.0
         while True:
             r_new = r + alpha * bd
-            f_new = 0.5 * float(r_new @ r_new)
+            f_new = 0.5 * float(r_new.dot(r_new))
             if f_new <= f_ref + ARMIJO_SLOPE * alpha * slope or alpha < 1e-12:
                 break
             alpha *= 0.5
-        x = x + alpha * direction
+        s = alpha * direction
+        x = x + s
         r = r_new
         g_new = op.adjoint(r)
         # Barzilai-Borwein scale for the next trial step
-        s = alpha * direction
-        dg = g_new - g
-        sdg = float(s @ dg)
+        sdg = float(s.dot(g_new - g))
         if sdg > 1e-300:
-            step = float(s @ s) / sdg
-            step = min(max(step, 1e-8 / lipschitz), 1e8 / lipschitz)
+            step = min(max(float(s.dot(s)) / sdg, step_min), step_max)
         else:
             step = 1.0 / lipschitz
         g = g_new

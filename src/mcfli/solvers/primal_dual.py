@@ -45,6 +45,10 @@ ADAPT_GROWTH = 8.0
 ADAPT_RATIO_CAP = 1e9
 
 
+def _vector_norm(v: np.ndarray) -> float:
+    return math.sqrt(v.dot(v))
+
+
 def _feasible(resid: float, eps: float) -> bool:
     return resid <= eps * (1.0 + CONSTRAINT_REL_SLACK) + CONSTRAINT_ABS_SLACK
 
@@ -68,6 +72,9 @@ def _l1_constrained_primal_dual(
     norm_b = max(operator_norm(op), 1e-300)
     ratio = 1.0
     sigma = tau = 0.99 / norm_b
+    # flat real iterates skip np.linalg.norm's dispatch (it computes the same
+    # sqrt(v.dot(v)) for contiguous real vectors); matrix iterates keep it
+    norm = _vector_norm if x.ndim == 1 else np.linalg.norm
 
     z = np.zeros(op.m)
     fx = op.forward(x)
@@ -89,14 +96,14 @@ def _l1_constrained_primal_dual(
         obj = objective(x_new)
         if _feasible(resid, eps) and obj < best_obj:
             best_x, best_obj, best_resid = x_new.copy(), obj, resid
-        dx = np.linalg.norm(x_new - x)
+        dx = norm(x_new - x)
         fx_bar = 2.0 * fx_new - fx
         x, fx = x_new, fx_new
         trace.append(obj)
         if (
-            dx <= config.tol * max(1.0, np.linalg.norm(x))
-            and it > SAFE_MIN_ITERS
+            it > SAFE_MIN_ITERS
             and best_x is not None
+            and dx <= config.tol * max(1.0, norm(x))
         ):
             converged = True
             break

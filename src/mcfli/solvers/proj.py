@@ -12,23 +12,29 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the l1 ball via the sorted-cumsum rule.
 
-    Ties are broken by the stable descending order of magnitudes, so the
-    result is deterministic across runs.
+    The magnitudes are sorted as values, so the threshold does not depend on
+    how the sort orders ties.  The largest magnitude always passes the
+    feasibility test in exact arithmetic and is kept when rounding drops it.
     """
-    if radius < 0:
+    if not radius >= 0:  # NaN included
         raise ValueError("radius must be nonnegative")
     v = np.asarray(v, dtype=np.float64)
-    if np.abs(v).sum() <= radius:
-        return v.copy()
     if radius == 0:
-        return np.zeros_like(v)
-    mags = np.sort(np.abs(v), kind="stable")[::-1]
-    cums = np.cumsum(mags)
-    counts = np.arange(1, v.size + 1)
-    feasible = mags - (cums - radius) / counts > 0
-    last = counts[feasible][-1]
+        # an all-zero input comes back as is, signed zeros included
+        return np.zeros(v.shape) if v.any() else v.copy()
+    mags = np.abs(v)
+    if mags.sum() <= radius:
+        return v.copy()
+    desc = np.sort(mags)[::-1]
+    cums = desc.cumsum()
+    # desc[k] - (cums[k] - radius) / (k + 1) > 0, written as a comparison:
+    # for IEEE doubles a - b > 0 holds exactly when a > b
+    feasible = desc > (cums - radius) / np.arange(1, v.size + 1)
+    feasible[0] = True
+    last = v.size - int(feasible[::-1].argmax())
     shift = (cums[last - 1] - radius) / last
-    return soft_threshold(v, shift)
+    # soft_threshold(v, shift), reusing the magnitudes
+    return np.sign(v) * np.maximum(mags - shift, 0.0)
 
 
 def project_l1_ball_bisection(

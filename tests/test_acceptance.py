@@ -28,7 +28,6 @@ from mcfli import (
     solve_lasso,
     solve_trace_min_psd,
     sparse_scene,
-    vignetted_snr,
 )
 from mcfli.harness import (
     SweepSpec,

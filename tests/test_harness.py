@@ -8,12 +8,14 @@ from mcfli.harness import (
     mean_visibility_count,
     rip_pair_extremes,
     run_calibration_roundtrip,
+    run_imaging_demo,
     run_sweep,
     run_trial,
     transition_midpoint,
 )
 from mcfli import CombinedOperator, draw_sketches, make_grid, random_layout_1d
-from mcfli.solvers.config import MAX_ITERATIONS_DEFAULT
+from mcfli.solvers import linop
+from mcfli.solvers.config import MAX_ITERATIONS_DEFAULT, SolverConfig
 from mcfli.solvers.metrics import SNR_CAP_DB
 
 
@@ -203,3 +205,21 @@ def test_calibration_roundtrip_driver(tmp_path):
     assert report["n_frames"] == 8 * 5 + 1
     assert (tmp_path / "calibration.json").exists()
     assert (tmp_path / "field_000.cmat").exists()
+
+
+def test_imaging_demo_runs_lanczos_once_per_operator(monkeypatch):
+    runs = []
+    lanczos = linop._lanczos_norm
+
+    def counted(op):
+        runs.append(op)
+        return lanczos(op)
+
+    monkeypatch.setattr(linop, "_lanczos_norm", counted)
+    # the bar target needs n1 >= 64; q and m keep the solve small
+    report = run_imaging_demo(
+        n1=64, q=12, m_values=[60], rho_scale_exponents=(-2.0, -1.0),
+        include_rs=False, config=SolverConfig(max_iterations=5),
+    )
+    assert [(e.q, e.m) for e in report.entries] == [(12, 60), (12, 60)]
+    assert len(runs) == 1

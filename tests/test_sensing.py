@@ -3,7 +3,6 @@ import pytest
 
 from mcfli import (
     CombinedOperator,
-    HermitianMatrix,
     NoiseModel,
     SceneImage,
     SropOperator,

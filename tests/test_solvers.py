@@ -100,6 +100,17 @@ def test_operator_norm_rank_deficient_stops_with_krylov_space():
     assert op.forward_calls <= 4
 
 
+def test_operator_norm_is_cached_on_the_operator():
+    b = np.random.default_rng(2).standard_normal((20, 35))
+    op = CountingOperator(b)
+    first = operator_norm(op)
+    calls = op.forward_calls
+    assert operator_norm(op) == first
+    assert op.forward_calls == calls
+    # the seeded start makes a fresh run give the same bits
+    assert operator_norm(CountingOperator(b)) == first
+
+
 def test_operator_norm_combined_1d():
     grid = make_grid(1, 64, 1.0)
     op = CombinedOperator(random_layout_1d(grid, 10, 1), draw_sketches(10, 40, 2))
@@ -146,6 +157,12 @@ def test_l1_projection_zero_radius():
     assert np.all(project_l1_ball(np.array([1.0, -2.0]), 0.0) == 0)
 
 
+@pytest.mark.parametrize("radius", [-1.0, np.nan])
+def test_l1_projection_rejects_negative_or_nan_radius(radius):
+    with pytest.raises(ValueError):
+        project_l1_ball(np.array([1.0, -2.0]), radius)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -158,6 +175,54 @@ def test_l1_projection_matches_bisection_oracle(seed, n, radius):
     b = project_l1_ball_bisection(v, radius)
     assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(v).max())
     assert np.abs(a).sum() <= radius * (1 + 1e-9) + 1e-12
+
+
+def sorted_cumsum_projection(v, radius):
+    """The sorted-cumsum projection in its first form (stable sort, boolean
+    index for the last feasible count); the reference for bit identity."""
+    v = np.asarray(v, dtype=np.float64)
+    if np.abs(v).sum() <= radius:
+        return v.copy()
+    if radius == 0:
+        return np.zeros_like(v)
+    mags = np.sort(np.abs(v), kind="stable")[::-1]
+    cums = np.cumsum(mags)
+    counts = np.arange(1, v.size + 1)
+    feasible = mags - (cums - radius) / counts > 0
+    last = counts[feasible][-1]
+    shift = (cums[last - 1] - radius) / last
+    return np.sign(v) * np.maximum(np.abs(v) - shift, 0.0)
+
+
+# ties, exact zeros of both signs, and arbitrary values
+L1_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 3.0]),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(L1_ENTRIES, min_size=1, max_size=40),
+    mode=st.sampled_from(["zero", "inside", "boundary", "free"]),
+    radius=st.floats(min_value=1e-6, max_value=1e3),
+)
+def test_l1_projection_bit_identical_to_sorted_cumsum_reference(values, mode, radius):
+    v = np.array(values)
+    l1 = float(np.abs(v).sum())
+    radius = {"zero": 0.0, "inside": l1 + radius, "boundary": l1, "free": radius}[mode]
+    a = project_l1_ball(v, radius)
+    b = sorted_cumsum_projection(v, radius)
+    assert np.array_equal(a, b)
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()  # signed zeros too
+
+
+def test_l1_projection_keeps_largest_entry_feasible_under_rounding():
+    # 1e20 - (1e20 - 1) rounds to 0, so no count passes the rounded test
+    v = np.array([1e20, 1.0])
+    with pytest.raises(IndexError):
+        sorted_cumsum_projection(v, 1.0)
+    assert np.abs(project_l1_ball(v, 1.0)).sum() <= 1.0
 
 
 def test_psd_projection():
