@@ -37,7 +37,6 @@ from .sensing import (
     CombinedOperator,
     MeasurementRecord,
     NoiseModel,
-    SpeckleField,
     SropOperator,
     add_noise,
     debias,
@@ -90,7 +89,6 @@ __all__ = [
     "random_hermitian",
     "SropOperator",
     "CombinedOperator",
-    "SpeckleField",
     "MeasurementRecord",
     "NoiseModel",
     "interferometric_matrix",

@@ -1,12 +1,15 @@
 """Simulated phase-shifting calibration of the per-core wavefields.
 
-The generalized sensing model replaces the plane-wave interference of the
-far-field picture with arbitrary per-core complex fields.  Calibration
-recovers those fields from intensity-only fringe patterns: for each core an
-8-frame stack is rendered against a phase-stepped reference core, and an
-8-point DFT along the steps isolates the interference term.  The recovered
-fields carry the reference core's phase as a common per-pixel factor, which
-cancels in every predicted speckle.
+The generalized sensing model keeps the one illumination model of
+:mod:`mcfli.sensing`, a :class:`~mcfli.sensing.WavefieldSet`, but lets its
+per-core fields depart from the far-field plane waves.  Synthetic fields start
+from :func:`~mcfli.sensing.plane_wave_fields` and multiply each core by a
+smooth random amplitude or phase profile.  Calibration recovers the fields
+from intensity-only fringe patterns: for each core an 8-frame stack is
+rendered against a phase-stepped reference core, and an 8-point DFT along the
+steps isolates the interference term.  The recovered fields carry the
+reference core's phase as a common per-pixel factor, which cancels in every
+predicted speckle.
 """
 
 from __future__ import annotations
@@ -19,44 +22,11 @@ from .grid import Grid
 from .hermitian import HermitianMatrix
 from .layout import CoreLayout
 from .scene import SceneImage
-from .sensing import _plane_wave_sum, debias
+from .sensing import WavefieldSet, debias, plane_wave_fields
 from .sketch import SketchBatch
 
 N_PHASE_STEPS = 8
 REFERENCE_FLOOR_RATIO = 1e-6
-
-
-@dataclass(frozen=True, eq=False)
-class WavefieldSet:
-    grid: Grid
-    fields: np.ndarray  # (q, *grid.shape) complex
-    reference: int = 0
-    mask: np.ndarray | None = None  # pixels where recovery was possible
-
-    def __post_init__(self):
-        self.fields.setflags(write=False)
-        if self.mask is not None:
-            self.mask.setflags(write=False)
-
-    @property
-    def order(self) -> int:
-        return self.fields.shape[0]
-
-    def predict_speckle(self, alpha: np.ndarray) -> np.ndarray:
-        """Intensity produced by a sketch through these fields.
-
-        ``alpha`` is one sketch ``(q,)`` or a batch ``(m, q)``; the result is
-        grid-shaped, with a leading axis of length ``m`` for a batch.
-        """
-        amp = np.tensordot(np.asarray(alpha, dtype=np.complex128), self.fields, axes=1)
-        out = np.abs(amp) ** 2
-        if self.mask is not None:
-            out = np.where(self.mask, out, 0.0)
-        return out
-
-    def vignette_estimate(self) -> np.ndarray:
-        """Mean per-core intensity, the paper-style field-of-view estimate."""
-        return np.mean(np.abs(self.fields) ** 2, axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,40 +59,31 @@ def _smooth_profile(grid: Grid, rng: np.random.Generator) -> np.ndarray:
 
 def synth_fields(
     layout: CoreLayout,
-    grid: Grid,
     perturbation: tuple[str, float] | None = None,
     seed=0,
 ) -> WavefieldSet:
-    """Synthetic per-core wavefields.
+    """Synthetic per-core wavefields on the layout's grid.
 
-    Without perturbation each field is the pure plane wave of the far-field
-    model (unit amplitude).  ``("amplitude-ripple", delta)`` modulates each
-    core's amplitude with a smooth random profile of depth ``delta``;
-    ``("phase-aberration", delta)`` applies a smooth random phase screen of
-    ``delta`` radians RMS-scale.
+    Without perturbation these are the far-field plane waves of
+    :func:`~mcfli.sensing.plane_wave_fields`.  ``("amplitude-ripple", delta)``
+    modulates each core's amplitude with a smooth random profile of depth
+    ``delta``; ``("phase-aberration", delta)`` applies a smooth random phase
+    screen of ``delta`` radians RMS-scale.  One profile is drawn per core, in
+    core order, from ``default_rng(seed)``.
     """
-    if grid != layout.grid:
-        raise ValueError("layout and grid disagree")
+    waves = plane_wave_fields(layout)
+    if perturbation is None:
+        return waves
+    kind, delta = perturbation
+    if kind not in ("amplitude-ripple", "phase-aberration"):
+        raise ValueError(f"unknown perturbation {kind!r}")
     rng = np.random.default_rng(seed)
-    points = grid.points()
-    freqs = layout.core_frequencies
-    fields = np.empty((layout.order, *grid.shape), dtype=np.complex128)
-    for q in range(layout.order):
-        wave = _plane_wave_sum(
-            freqs[q : q + 1], np.ones(1, dtype=np.complex128), points
-        ).reshape(grid.shape)
-        if perturbation is None:
-            fields[q] = wave
-            continue
-        kind, delta = perturbation
-        profile = _smooth_profile(grid, rng)
-        if kind == "amplitude-ripple":
-            fields[q] = (1.0 + delta * profile) * wave
-        elif kind == "phase-aberration":
-            fields[q] = np.exp(1j * delta * profile) * wave
-        else:
-            raise ValueError(f"unknown perturbation {kind!r}")
-    return WavefieldSet(grid=grid, fields=fields)
+    profiles = np.array([_smooth_profile(layout.grid, rng) for _ in range(layout.order)])
+    if kind == "amplitude-ripple":
+        factors = 1.0 + delta * profiles
+    else:
+        factors = np.exp(1j * delta * profiles)
+    return WavefieldSet(grid=layout.grid, fields=factors * waves.fields)
 
 
 def render_fringes(

@@ -169,16 +169,6 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _trial_args(spec: SweepSpec, k: int, q: int, m: int, trial: int) -> tuple:
-    seed = _child_seed(spec.master_seed, k, q, m, trial)
-    return (k, q, m, seed, spec.solver, spec.n1, spec.threshold_db)
-
-
-def _run_trial_tuple(args) -> tuple:
-    r = run_trial(*args)
-    return (r.snr_db, r.success, r.visibilities, r.iterations, r.converged)
-
-
 def mean_visibility_count(
     n1: int, q: int, seed, probes: int = 256
 ) -> tuple[float, float]:
@@ -238,22 +228,24 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
             for m in spec.m_values:
                 cell_keys.append((k, q, m, target))
                 jobs.extend(
-                    _trial_args(spec, k, q, m, t) for t in range(spec.trials)
+                    (k, q, m, _child_seed(spec.master_seed, k, q, m, t),
+                     spec.solver, spec.n1, spec.threshold_db)
+                    for t in range(spec.trials)
                 )
 
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            flat = list(pool.map(_run_trial_tuple, jobs, chunksize=8))
+            flat = list(pool.map(run_trial, *zip(*jobs), chunksize=8))
     else:
-        flat = [_run_trial_tuple(a) for a in jobs]
+        flat = [run_trial(*args) for args in jobs]
 
     cells = []
     for i, (k, q, m, target) in enumerate(cell_keys):
         rows = flat[i * spec.trials : (i + 1) * spec.trials]
-        snrs = np.array([r[0] for r in rows])
-        succ = np.array([r[1] for r in rows])
-        vis = np.array([r[2] for r in rows], dtype=float)
-        iters = np.array([r[3] for r in rows], dtype=float)
+        snrs = np.array([r.snr_db for r in rows])
+        succ = np.array([r.success for r in rows])
+        vis = np.array([r.visibilities for r in rows], dtype=float)
+        iters = np.array([r.iterations for r in rows], dtype=float)
         cells.append(
             SweepCell(
                 k=k,
@@ -549,16 +541,14 @@ def run_calibration_roundtrip(
         os.makedirs(out_dir, exist_ok=True)
     grid = make_grid(2, n1, 1.0)
     layout = fermat_spiral_layout(grid, q)
-    fields = synth_fields(layout, grid, perturbation=perturbation, seed=seed)
+    fields = synth_fields(layout, perturbation=perturbation, seed=seed)
     stack = render_fringes(fields, noise_sigma=noise_sigma, seed=seed + 1)
     recovered = recover_fields(stack)
 
     sketches = draw_sketches(q, n_test_sketches, _child_seed(seed, q, n_test_sketches))
-    correlations = []
-    for alpha in sketches.alphas:
-        predicted = recovered.predict_speckle(alpha)
-        true = fields.predict_speckle(alpha)
-        correlations.append(speckle_cross_correlation(predicted, true))
+    predicted = recovered.predict_speckle(sketches.alphas)
+    true = fields.predict_speckle(sketches.alphas)
+    correlations = [speckle_cross_correlation(p, t) for p, t in zip(predicted, true)]
     report = {
         "n_frames": stack.n_frames,
         "min_cross_correlation": float(np.min(correlations)),

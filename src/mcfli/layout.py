@@ -11,7 +11,8 @@ allowed and counted rather than rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,6 @@ class CoreLayout:
     bin_map: np.ndarray  # (q, q) flat frequency-bin index; diagonal -> bin 0
     snap_residuals: np.ndarray  # (q, q) max per-axis |rounding residual|, bin units
     kind: str = "explicit"
-    _pair_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         for arr in (self.positions, self.bin_map, self.snap_residuals):
@@ -42,23 +42,11 @@ class CoreLayout:
         """Per-core frequency ``p_q / (wavelength * depth)``, shape (q, dim)."""
         return self.positions / (self.grid.wavelength * self.grid.depth)
 
-    def _pairs(self):
-        if "pj" not in self._pair_cache:
-            q = self.order
-            pj, pk = np.nonzero(~np.eye(q, dtype=bool))
-            self._pair_cache["pj"] = pj.astype(np.int64)
-            self._pair_cache["pk"] = pk.astype(np.int64)
-            self._pair_cache["bins"] = np.ascontiguousarray(self.bin_map[pj, pk])
-        return (
-            self._pair_cache["pj"],
-            self._pair_cache["pk"],
-            self._pair_cache["bins"],
-        )
-
-    @property
+    @cached_property
     def off_diagonal_bins(self) -> np.ndarray:
-        """Flat bin of every ordered pair ``j != k`` (multiset, q(q-1) entries)."""
-        return self._pairs()[2]
+        """Flat bin of every ordered pair ``j != k`` (multiset, q(q-1) entries),
+        in row-major pair order."""
+        return self.bin_map[~np.eye(self.order, dtype=bool)]
 
     @property
     def distinct_visibilities(self) -> int:

@@ -35,10 +35,6 @@ class SceneImage:
             return self.values
         return self.vignette * self.values
 
-    @property
-    def is_zero_mean(self) -> bool:
-        return bool(abs(self.values.sum()) <= 1e-12 * max(np.abs(self.values).max(), 1e-300))
-
 
 def zeros_scene(grid: Grid) -> SceneImage:
     return SceneImage(grid=grid, values=np.zeros(grid.shape), sparsity=0,

@@ -7,8 +7,12 @@ once, as :func:`image_to_matrix` (one FFT, then a gather of the visibility
 bins) with its exact adjoint :func:`matrix_to_image` (scatter, then one
 inverse FFT); the fused operator, its dense matrix and the raster scan all
 compose that pair, and :func:`interferometric_matrix` keeps the pixel-by-pixel
-``direct`` sum as the oracle.  Speckles have one synthesis, the plane-wave sum
-at the cores' own frequencies, shared with the calibration's synthetic fields.
+``direct`` sum as the oracle.  Illumination has one model: a
+:class:`WavefieldSet` of per-core fields, whose speckle for a sketch ``alpha``
+is ``|sum_q alpha_q E_q|^2``.  The far-field plane waves at the cores' own
+frequencies are the set :func:`plane_wave_fields` builds; the speckle and
+speckle-illumination modes read it, and the calibration perturbs and recovers
+it.
 """
 
 from __future__ import annotations
@@ -247,49 +251,63 @@ class CombinedOperator:
 
 
 @dataclass(frozen=True, eq=False)
-class SpeckleField:
+class WavefieldSet:
+    """Per-core complex fields on a grid: the one illumination model.
+
+    A sketch ``alpha`` lights the speckle ``|sum_q alpha_q E_q|^2``.  The
+    far-field plane waves (:func:`plane_wave_fields`) are one such set;
+    perturbed and calibrated fields are others.
+    """
+
     grid: Grid
-    values: np.ndarray  # nonnegative intensity, grid.shape
-    alpha: np.ndarray  # generating sketch
+    fields: np.ndarray  # (q, *grid.shape) complex
+    reference: int = 0
+    mask: np.ndarray | None = None  # pixels where recovery was possible
 
     def __post_init__(self):
-        self.values.setflags(write=False)
+        self.fields.setflags(write=False)
+        if self.mask is not None:
+            self.mask.setflags(write=False)
+
+    @property
+    def order(self) -> int:
+        return self.fields.shape[0]
+
+    def predict_speckle(self, alpha: np.ndarray) -> np.ndarray:
+        """Intensity produced by a sketch through these fields.
+
+        ``alpha`` is one sketch ``(q,)`` or a batch ``(m, q)``; the result is
+        grid-shaped, with a leading axis of length ``m`` for a batch.
+        """
+        amp = np.tensordot(np.asarray(alpha, dtype=np.complex128), self.fields, axes=1)
+        out = np.abs(amp) ** 2
+        if self.mask is not None:
+            out = np.where(self.mask, out, 0.0)
+        return out
 
 
-def _plane_wave_sum(
-    freqs: np.ndarray, alpha: np.ndarray, points: np.ndarray
-) -> np.ndarray:
-    """Direct field synthesis ``h(x) = sum_q alpha_q exp(+2i pi nu_q . x)``
-    at each row of ``points``; a ``(q, m)`` ``alpha`` gives ``m`` fields as
-    columns."""
-    return np.exp(2j * np.pi * (points @ freqs.T)) @ alpha
+def plane_wave_fields(layout: CoreLayout) -> WavefieldSet:
+    """The far-field model: core ``q`` emits ``exp(+2i pi nu_q . x)`` at its
+    own (unsnapped) frequency ``nu_q``, with unit amplitude."""
+    grid = layout.grid
+    waves = np.exp(2j * np.pi * (grid.points() @ layout.core_frequencies.T))  # (n, q)
+    return WavefieldSet(grid=grid, fields=waves.T.reshape(layout.order, *grid.shape))
 
 
 def speckle_field(
     layout: CoreLayout,
     alpha: np.ndarray,
     vignette: np.ndarray | None = None,
-) -> SpeckleField:
-    """Illumination intensity produced by one sketching vector.
-
-    The field amplitude is the interference sum of the per-core plane waves,
-    synthesized pixel by pixel at the cores' own (unsnapped) frequencies;
-    the intensity is its squared modulus under the vignetting window.
-    """
-    grid = layout.grid
+) -> np.ndarray:
+    """Grid-shaped illumination intensity produced by one sketching vector:
+    the plane-wave speckle under the vignetting window."""
     alpha = np.asarray(alpha, dtype=np.complex128)
     if alpha.shape != (layout.order,):
         raise ValueError(f"sketch length {alpha.shape} != cores {layout.order}")
-    amplitude = _plane_wave_sum(layout.core_frequencies, alpha, grid.points())
-    intensity = np.abs(amplitude.reshape(grid.shape)) ** 2
+    intensity = plane_wave_fields(layout).predict_speckle(alpha)
     if vignette is not None:
         intensity = vignette * intensity
-    return SpeckleField(grid=grid, values=intensity, alpha=alpha)
-
-
-def scene_inner(scene_values: np.ndarray, field_values: np.ndarray, grid: Grid) -> float:
-    """Discrete approximation of the integral of ``scene * field``."""
-    return float(grid.pixel_volume * np.sum(scene_values * field_values))
+    return intensity
 
 
 def rs_steering(layout: CoreLayout, tilt: np.ndarray) -> np.ndarray:
@@ -325,14 +343,15 @@ def si_measure(
     """Speckle-illumination observations ``y_m = <s_m, f>``.
 
     Returns the measurements and the ``(n, m)`` matrix whose columns are the
-    discretized speckles.  On on-grid scenes this coincides with projecting
-    the interferometric matrix of the vignetted image.
+    plane-wave speckles (one batched :meth:`WavefieldSet.predict_speckle`)
+    under the vignette.  On on-grid scenes this coincides with projecting the
+    interferometric matrix of the vignetted image.
     """
     _check_same_grid(scene, layout)
     if vignette is None:
         vignette = scene.vignette
-    points = layout.grid.points()
-    cols = np.abs(_plane_wave_sum(layout.core_frequencies, sketches.alphas.T, points)) ** 2
+    speckles = plane_wave_fields(layout).predict_speckle(sketches.alphas)
+    cols = speckles.reshape(sketches.m, -1).T
     if vignette is not None:
         cols *= vignette.reshape(-1, 1)
     y = layout.grid.pixel_volume * (cols.T @ scene.values.ravel())

@@ -12,13 +12,14 @@ from mcfli import (
     generalized_matrix,
     interferometric_matrix,
     make_grid,
+    random_layout_1d,
     recover_fields,
     render_fringes,
     sparse_scene,
     synth_fields,
 )
-from mcfli.calibration import speckle_cross_correlation
-from mcfli.sensing import srop_forward
+from mcfli.calibration import _smooth_profile, speckle_cross_correlation
+from mcfli.sensing import plane_wave_fields, srop_forward
 
 
 def snapped_spiral(grid, q):
@@ -36,7 +37,7 @@ def setup_2d():
 
 def test_farfield_fields_reproduce_projection(setup_2d):
     grid, layout = setup_2d
-    fields = synth_fields(layout, grid)
+    fields = synth_fields(layout)
     sk = draw_sketches(6, 5, seed=0)
     rng = np.random.default_rng(1)
     scene = SceneImage(grid=grid, values=rng.uniform(0, 1, grid.shape))
@@ -48,9 +49,48 @@ def test_farfield_fields_reproduce_projection(setup_2d):
         assert val == pytest.approx(y_srop[idx], rel=1e-8)
 
 
+def plane_wave(layout, q):
+    grid = layout.grid
+    phase = grid.points() @ layout.core_frequencies[q]
+    return np.exp(2j * np.pi * phase).reshape(grid.shape)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["amplitude-ripple", "phase-aberration"])
+def test_perturbation_stream_is_pinned(dim, kind):
+    # core q's field is its plane wave times the q-th profile drawn from
+    # default_rng(seed), whatever the kind
+    if dim == 1:
+        grid = make_grid(1, 64, 1.0)
+        layout = random_layout_1d(grid, 7, seed=1)
+    else:
+        grid = make_grid(2, 16, 1.0)
+        layout = fermat_spiral_layout(grid, 7)
+    delta, seed = 0.3, 12
+    fields = synth_fields(layout, perturbation=(kind, delta), seed=seed)
+    ideal = plane_wave_fields(layout)
+    assert np.array_equal(synth_fields(layout).fields, ideal.fields)
+    rng = np.random.default_rng(seed)
+    for q in range(layout.order):
+        wave = plane_wave(layout, q)
+        assert np.allclose(ideal.fields[q], wave, rtol=0, atol=1e-12)
+        profile = _smooth_profile(grid, rng)
+        if kind == "amplitude-ripple":
+            expect = 1.0 + delta * profile
+        else:
+            expect = np.exp(1j * delta * profile)
+        assert np.allclose(fields.fields[q] / wave, expect, rtol=0, atol=1e-12)
+
+
+def test_unknown_perturbation_rejected(setup_2d):
+    _, layout = setup_2d
+    with pytest.raises(ValueError):
+        synth_fields(layout, perturbation=("tilt", 0.1))
+
+
 def test_generalized_matrix_matches_interferometric(setup_2d):
     grid, layout = setup_2d
-    fields = synth_fields(layout, grid)
+    fields = synth_fields(layout)
     rng = np.random.default_rng(2)
     scene = SceneImage(grid=grid, values=rng.uniform(0, 1, grid.shape))
     g_mat = generalized_matrix(fields, scene).data
@@ -60,7 +100,7 @@ def test_generalized_matrix_matches_interferometric(setup_2d):
 
 def test_generalized_matrix_hermitian_psd(setup_2d):
     grid, layout = setup_2d
-    fields = synth_fields(layout, grid, perturbation=("amplitude-ripple", 0.1), seed=3)
+    fields = synth_fields(layout, perturbation=("amplitude-ripple", 0.1), seed=3)
     rng = np.random.default_rng(4)
     scene = SceneImage(grid=grid, values=rng.uniform(0, 1, grid.shape))
     g_mat = generalized_matrix(fields, scene)
@@ -73,7 +113,7 @@ def test_amplitude_ripple_bounded_model_deviation(setup_2d):
     rng = np.random.default_rng(5)
     scene = SceneImage(grid=grid, values=rng.uniform(0, 1, grid.shape))
     i_mat = interferometric_matrix(scene, layout, path="direct").data
-    fields = synth_fields(layout, grid, perturbation=("amplitude-ripple", 0.05), seed=6)
+    fields = synth_fields(layout, perturbation=("amplitude-ripple", 0.05), seed=6)
     g_mat = generalized_matrix(fields, scene).data
     rel = np.linalg.norm(g_mat - i_mat) / np.linalg.norm(i_mat)
     assert rel <= 0.15
@@ -82,7 +122,7 @@ def test_amplitude_ripple_bounded_model_deviation(setup_2d):
 def test_single_core_speckle_ignores_phase(setup_2d):
     grid, _ = setup_2d
     layout1 = snapped_spiral(grid, 1)
-    fields = synth_fields(layout1, grid, perturbation=("amplitude-ripple", 0.2), seed=7)
+    fields = synth_fields(layout1, perturbation=("amplitude-ripple", 0.2), seed=7)
     s1 = fields.predict_speckle(np.array([np.exp(0.3j)]))
     s2 = fields.predict_speckle(np.array([np.exp(-2.1j)]))
     assert np.allclose(s1, s2, atol=1e-12 * s1.max())
@@ -90,7 +130,7 @@ def test_single_core_speckle_ignores_phase(setup_2d):
 
 def test_generalized_forward_matches_combined(setup_2d):
     grid, layout = setup_2d
-    fields = synth_fields(layout, grid)
+    fields = synth_fields(layout)
     sk = draw_sketches(6, 8, seed=8)
     scene = sparse_scene(grid, 5, seed=9, zero_mean=False)
     z = generalized_forward(fields, sk, scene)
@@ -101,7 +141,7 @@ def test_generalized_forward_matches_combined(setup_2d):
 
 def test_generalized_forward_zero_scene(setup_2d):
     grid, layout = setup_2d
-    fields = synth_fields(layout, grid)
+    fields = synth_fields(layout)
     sk = draw_sketches(6, 4, seed=10)
     scene = SceneImage(grid=grid, values=np.zeros(grid.shape))
     assert np.all(generalized_forward(fields, sk, scene) == 0)
@@ -126,7 +166,7 @@ def test_fringe_formula_constant_fields():
 def test_frame_count_is_linear_in_cores():
     grid = make_grid(2, 8, 1.0)
     layout = snapped_spiral(grid, 5)
-    fields = synth_fields(layout, grid)
+    fields = synth_fields(layout)
     stack = render_fringes(fields)
     assert stack.n_frames == 8 * 5 + 1
 
@@ -134,7 +174,7 @@ def test_frame_count_is_linear_in_cores():
 def test_frames_sum_to_static_intensity():
     grid = make_grid(2, 16, 1.0)
     layout = snapped_spiral(grid, 4)
-    fields = synth_fields(layout, grid, perturbation=("amplitude-ripple", 0.1), seed=0)
+    fields = synth_fields(layout, perturbation=("amplitude-ripple", 0.1), seed=0)
     stack = render_fringes(fields)
     ref = np.abs(fields.fields[0]) ** 2
     for q in range(4):
@@ -146,7 +186,7 @@ def test_frames_sum_to_static_intensity():
 def test_seventh_dft_coefficient():
     grid = make_grid(2, 16, 1.0)
     layout = snapped_spiral(grid, 4)
-    fields = synth_fields(layout, grid, perturbation=("phase-aberration", 0.3), seed=1)
+    fields = synth_fields(layout, perturbation=("phase-aberration", 0.3), seed=1)
     stack = render_fringes(fields)
     ref = fields.fields[0]
     for q in range(4):
@@ -165,7 +205,7 @@ def test_seventh_dft_coefficient():
 def test_noiseless_roundtrip_exact():
     grid = make_grid(2, 16, 1.0)
     layout = snapped_spiral(grid, 6)
-    fields = synth_fields(layout, grid, perturbation=("phase-aberration", 0.4), seed=2)
+    fields = synth_fields(layout, perturbation=("phase-aberration", 0.4), seed=2)
     recovered = recover_fields(render_fringes(fields))
     sk = draw_sketches(6, 20, seed=3)
     for alpha in sk.alphas:
@@ -178,7 +218,7 @@ def test_noiseless_roundtrip_exact():
 def test_recovered_reference_has_zero_phase():
     grid = make_grid(2, 16, 1.0)
     layout = snapped_spiral(grid, 4)
-    fields = synth_fields(layout, grid, perturbation=("phase-aberration", 0.5), seed=4)
+    fields = synth_fields(layout, perturbation=("phase-aberration", 0.5), seed=4)
     recovered = recover_fields(render_fringes(fields))
     phase = np.angle(recovered.fields[0])[recovered.mask]
     assert np.abs(phase).max() <= 1e-9
@@ -188,7 +228,7 @@ def test_recovery_is_global_phase_referenced():
     # recovered fields equal the true ones times exp(-i phase of core 0)
     grid = make_grid(2, 16, 1.0)
     layout = snapped_spiral(grid, 5)
-    fields = synth_fields(layout, grid, perturbation=("phase-aberration", 0.3), seed=5)
+    fields = synth_fields(layout, perturbation=("phase-aberration", 0.3), seed=5)
     recovered = recover_fields(render_fringes(fields))
     ref_phase = np.exp(-1j * np.angle(fields.fields[0]))
     for q in range(5):
@@ -200,7 +240,7 @@ def test_recovery_is_global_phase_referenced():
 def test_forward_predictions_invariant_to_reference_phase():
     grid = make_grid(2, 16, 1.0)
     layout = snapped_spiral(grid, 5)
-    fields = synth_fields(layout, grid, perturbation=("amplitude-ripple", 0.1), seed=6)
+    fields = synth_fields(layout, perturbation=("amplitude-ripple", 0.1), seed=6)
     recovered = recover_fields(render_fringes(fields))
     sk = draw_sketches(5, 6, seed=7)
     scene = sparse_scene(grid, 4, seed=8, zero_mean=False)
@@ -212,7 +252,7 @@ def test_forward_predictions_invariant_to_reference_phase():
 def test_noisy_roundtrip():
     grid = make_grid(2, 16, 1.0)
     layout = snapped_spiral(grid, 6)
-    fields = synth_fields(layout, grid, seed=9)
+    fields = synth_fields(layout, seed=9)
     stack = render_fringes(fields, noise_sigma=0.01, seed=10)
     recovered = recover_fields(stack)
     sk = draw_sketches(6, 20, seed=11)

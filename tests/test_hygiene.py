@@ -1,10 +1,15 @@
-"""Source hygiene: no module under ``src/`` or ``tests/`` imports a name it
-never uses.
+"""Source hygiene, checked with the standard library's :mod:`ast` alone.
 
-A standard-library stand-in for pyflakes' unused-import check: each module
-is parsed with :mod:`ast`, and every name an import binds must be read
-somewhere in the module (or listed in its ``__all__``).  ``__future__``
-imports and the re-exports of ``__init__.py`` files are exempt.
+- No module under ``src/`` or ``tests/`` imports a name it never uses: a
+  stand-in for pyflakes' unused-import check, where every name an import
+  binds must be read somewhere in the module (or listed in its ``__all__``).
+  ``__future__`` imports and the re-exports of ``__init__.py`` files are
+  exempt.
+- No definition under ``src/`` is dead: every module-level function or class,
+  and every method that is not a dunder, is read by name (a loaded name or
+  attribute) somewhere in ``src/``, ``tests/`` or ``perfbench/``.
+- Each ``__init__.py`` imports exactly the names of its ``__all__``, and
+  lists none twice.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ MODULES = sorted(
     for p in (ROOT / top).rglob("*.py")
     if p.name != "__init__.py"
 )
+PACKAGES = sorted((ROOT / "src").rglob("__init__.py"))
 
 
 def _bound_names(tree: ast.Module) -> dict[str, int]:
@@ -74,3 +80,102 @@ def test_scanner_flags_only_unread_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# ---------------------------------------------------------------------------
+# dead definitions
+# ---------------------------------------------------------------------------
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """Module-level functions and classes, and the non-dunder methods of
+    those classes, with their lines."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs = []
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            defs.append((node.name, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            defs.extend(
+                (sub.name, sub.lineno)
+                for sub in node.body
+                if isinstance(sub, functions) and not _is_dunder(sub.name)
+            )
+    return defs
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """Every name loaded, bare or as an attribute."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_dead_definition_scanner():
+    source = (
+        "import os\n"
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "class K:\n"
+        "    def __init__(self): self.attr = 1\n"
+        "    def method(self): pass\n"
+        "    def orphan(self): pass\n"
+        "K().method()\n"
+        "used()\n"
+    )
+    tree = ast.parse(source)
+    dead = [(n, line) for n, line in definitions(tree) if n not in names_read(tree)]
+    assert dead == [("unused", 3), ("orphan", 7)]
+
+
+def test_no_dead_definitions():
+    read = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            read |= names_read(ast.parse(path.read_text()))
+    dead = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for name, line in definitions(ast.parse(path.read_text()))
+        if name not in read
+    ]
+    assert dead == []
+
+
+# ---------------------------------------------------------------------------
+# package exports
+# ---------------------------------------------------------------------------
+
+
+def imported_and_exported(source: str) -> tuple[list[str], list[str]]:
+    """The names a module's imports bind, and the entries of its ``__all__``."""
+    tree = ast.parse(source)
+    imported, exported = [], []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.extend(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.extend(
+                alias.asname or alias.name.split(".")[0] for alias in node.names
+            )
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.extend(ast.literal_eval(node.value))
+    return imported, exported
+
+
+@pytest.mark.parametrize("path", PACKAGES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_imports_equal_all(path):
+    imported, exported = imported_and_exported(path.read_text())
+    assert len(set(imported)) == len(imported), "a name is imported twice"
+    assert len(set(exported)) == len(exported), "a name is listed twice in __all__"
+    assert sorted(imported) == sorted(exported)

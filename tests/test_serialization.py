@@ -125,7 +125,7 @@ def test_fringe_stack_roundtrip(tmp_path):
 
     g = make_grid(2, 16, 1.0)
     lay = fermat_spiral_layout(g, 3)
-    stack = render_fringes(synth_fields(lay, g, seed=0))
+    stack = render_fringes(synth_fields(lay, seed=0))
     manifest = save_fringe_stack(stack, tmp_path / "fringes")
     back = load_fringe_stack(manifest)
     assert np.array_equal(back.frames, stack.frames)

@@ -24,6 +24,7 @@ from mcfli.solvers import (
     grad2d,
     div2d,
     operator_norm,
+    project_ball_around,
     project_l1_ball,
     project_l1_ball_bisection,
     project_psd_cone,
@@ -223,6 +224,44 @@ def test_l1_projection_keeps_largest_entry_feasible_under_rounding():
     with pytest.raises(IndexError):
         sorted_cumsum_projection(v, 1.0)
     assert np.abs(project_l1_ball(v, 1.0)).sum() <= 1.0
+
+
+def ball_around_reference(u, center, radius):
+    """``project_ball_around`` in its first form, without the zero-radius
+    shortcut; the reference for bit identity."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return center + project_l1_ball(u - center, radius)
+
+
+BALL_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(BALL_ENTRIES, BALL_ENTRIES), min_size=1, max_size=20),
+    same=st.booleans(),
+)
+def test_ball_around_zero_radius_bit_identical_to_reference(pairs, same):
+    u = np.array([a for a, _ in pairs])
+    center = u.copy() if same else np.array([b for _, b in pairs])
+    a = project_ball_around(u, center, 0.0)
+    b = ball_around_reference(u, center, 0.0)
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()  # signed zeros, NaNs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(L1_ENTRIES, L1_ENTRIES), min_size=1, max_size=20),
+    radius=st.floats(min_value=1e-6, max_value=1e3),
+)
+def test_ball_around_positive_radius_matches_reference(pairs, radius):
+    u = np.array([a for a, _ in pairs])
+    center = np.array([b for _, b in pairs])
+    a = project_ball_around(u, center, radius)
+    assert a.tobytes() == ball_around_reference(u, center, radius).tobytes()
 
 
 def test_psd_projection():

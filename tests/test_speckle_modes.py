@@ -32,7 +32,7 @@ def test_single_core_field_is_flat():
     lay = fermat_spiral_layout(g, 1)
     w = gaussian_vignette(g)
     field = speckle_field(lay, np.array([1.0 + 0j]), vignette=w)
-    assert np.allclose(field.values, w, atol=1e-12)
+    assert np.allclose(field, w, atol=1e-12)
 
 
 def test_beamformed_peak_at_origin():
@@ -40,8 +40,8 @@ def test_beamformed_peak_at_origin():
     lay = fermat_spiral_layout(g, 11)
     field = speckle_field(lay, np.ones(11, complex))
     center = (g.n1 // 2, g.n1 // 2)
-    assert field.values[center] == pytest.approx(11.0**2, rel=1e-12)
-    assert np.unravel_index(np.argmax(field.values), field.values.shape) == center
+    assert field[center] == pytest.approx(11.0**2, rel=1e-12)
+    assert np.unravel_index(np.argmax(field), field.shape) == center
 
 
 def test_speckle_nonnegative():
@@ -50,7 +50,7 @@ def test_speckle_nonnegative():
     sk = draw_sketches(7, 3, seed=0)
     for alpha in sk.alphas:
         field = speckle_field(lay, alpha)
-        assert field.values.min() >= 0
+        assert field.min() >= 0
 
 
 def test_speckle_projection_consistency():
@@ -64,7 +64,7 @@ def test_speckle_projection_consistency():
     y_srop = srop_forward(mat.data, sk)
     for idx, alpha in enumerate(sk.alphas):
         field = speckle_field(lay, alpha)
-        y_field = g.pixel_volume * np.sum(field.values * scene.values)
+        y_field = g.pixel_volume * np.sum(field * scene.values)
         assert y_field == pytest.approx(y_srop[idx], rel=1e-8)
 
 
@@ -81,7 +81,7 @@ def test_rs_at_origin_on_delta_scene():
     val = rs_measure(scene, lay, 0.0)
     # direct beam-pattern evaluation at the spike
     field = speckle_field(lay, np.ones(7, complex))
-    expect = g.pixel_volume * amp * field.values[g.n1 // 2]
+    expect = g.pixel_volume * amp * field[g.n1 // 2]
     assert val == pytest.approx(expect, rel=1e-10)
     assert val == pytest.approx(g.pixel_volume * amp * 7**2, rel=1e-10)
 
@@ -92,7 +92,7 @@ def test_rs_scan_of_delta_is_psf():
     amp = 1.5
     scene = delta_scene(g, amplitude=amp)
     scan = rs_scan(scene, lay)
-    psf = speckle_field(lay, np.ones(6, complex)).values
+    psf = speckle_field(lay, np.ones(6, complex))
     assert np.allclose(scan, g.pixel_volume * amp * psf, atol=1e-8 * psf.max())
 
 
@@ -171,3 +171,19 @@ def test_si_on_snapped_2d_spiral():
     y, _ = si_measure(scene, lay, sk)
     mat = interferometric_matrix(scene, lay)
     assert np.allclose(y, srop_forward(mat.data, sk), rtol=1e-8)
+
+
+def test_si_columns_are_vignetted_speckles():
+    g = make_grid(2, 16, 1.0)
+    lay = fermat_spiral_layout(g, 7)
+    sk = draw_sketches(7, 5, seed=11)
+    w = gaussian_vignette(g)
+    rng = np.random.default_rng(12)
+    scene = SceneImage(grid=g, values=rng.uniform(0, 1, g.shape))
+    y, cols = si_measure(scene, lay, sk, vignette=w)
+    assert cols.shape == (g.n_points, sk.m)
+    for idx, alpha in enumerate(sk.alphas):
+        speckle = speckle_field(lay, alpha, vignette=w).ravel()
+        assert np.allclose(cols[:, idx], speckle, rtol=1e-12, atol=0)
+        expect = g.pixel_volume * speckle @ scene.values.ravel()
+        assert y[idx] == pytest.approx(expect, rel=1e-12)
