@@ -34,6 +34,7 @@ class FringeStack:
     grid: Grid
     frames: np.ndarray  # (q, 8, *grid.shape) intensity frames
     reference_frame: np.ndarray  # intensity of the reference core alone
+    reference: int = 0  # the core whose field is phase-stepped
 
     def __post_init__(self):
         self.frames.setflags(write=False)
@@ -108,13 +109,21 @@ def render_fringes(
         reference_frame = reference_frame + rng.normal(
             0.0, scale, size=reference_frame.shape
         )
-    return FringeStack(grid=fields.grid, frames=frames, reference_frame=reference_frame)
+    return FringeStack(
+        grid=fields.grid,
+        frames=frames,
+        reference_frame=reference_frame,
+        reference=fields.reference,
+    )
 
 
 def recover_fields(
     stack: FringeStack, floor_ratio: float = REFERENCE_FLOOR_RATIO
 ) -> WavefieldSet:
     """Recover the wavefields (referenced to the reference core's phase).
+
+    The recovered set keeps the stack's reference core, whose field comes
+    back with zero phase.
 
     The 7-th coefficient of the 8-point DFT along the phase steps equals
     ``4 * I_i * exp(i * relative phase)``; dividing by ``8 * sqrt(I_ref)``
@@ -132,7 +141,7 @@ def recover_fields(
     coef = np.fft.fft(stack.frames, axis=1)[:, N_PHASE_STEPS - 1]
     denom = np.where(mask, np.sqrt(np.abs(i00)), 1.0)
     fields = np.where(mask[None], coef / (N_PHASE_STEPS * denom[None]), 0.0)
-    return WavefieldSet(grid=stack.grid, fields=fields, mask=mask)
+    return WavefieldSet(grid=stack.grid, fields=fields, reference=stack.reference, mask=mask)
 
 
 def generalized_matrix(fields: WavefieldSet, scene: SceneImage) -> HermitianMatrix:

@@ -85,8 +85,18 @@ class Grid:
         return np.fft.fftn(np.fft.ifftshift(values)) / np.sqrt(self.n_points)
 
     def ifft(self, spectrum: np.ndarray) -> np.ndarray:
-        """Inverse (and adjoint) of :meth:`fft`."""
-        return np.fft.fftshift(np.fft.ifftn(spectrum)) * np.sqrt(self.n_points)
+        """Inverse (and adjoint) of :meth:`fft`.
+
+        Only the trailing ``dim`` axes are transformed, so a stack of spectra
+        ``(..., *shape)`` comes back as a stack of images; each slice has the
+        bits of a call on that slice alone.
+        """
+        axes = tuple(range(-self.dim, 0))
+        # passing s (the grid shape) spares ifftn a per-call lookup of it
+        image = np.fft.ifftn(spectrum, s=self.shape, axes=axes)
+        image = np.fft.fftshift(image, axes=axes)
+        image *= np.sqrt(self.n_points)  # fftshift returned a fresh array
+        return image
 
     def bin_index(self, int_freqs: np.ndarray) -> np.ndarray:
         """Flat spectrum index for integer per-axis frequencies (mod ``n1``)."""

@@ -82,11 +82,22 @@ class CoreLayout:
         """Adjoint of :meth:`gather`: accumulate matrix entries into bins.
 
         Duplicate bins are summed; conjugate pairs land in mirrored bins, so a
-        Hermitian input produces a conjugate-symmetric spectrum.
+        Hermitian input produces a conjugate-symmetric spectrum.  A stack of
+        matrices ``(..., q, q)`` gives a stack of flat spectra ``(..., n)``.
+        Each spectrum sums its bins in pair order starting from 0.0, so it
+        has the bits of a call on that matrix alone.
         """
-        out = np.zeros(self.grid.n_points, dtype=np.complex128)
-        np.add.at(out, self.bin_map.ravel(), matrix.ravel().astype(np.complex128))
-        return out
+        matrix = np.asarray(matrix, dtype=np.complex128)
+        batch = matrix.shape[:-2]
+        n = self.grid.n_points
+        rows = matrix.reshape(-1, self.bin_map.size)
+        out = np.zeros((rows.shape[0], n), dtype=np.complex128)
+        index = self.bin_map.reshape(-1)
+        if rows.shape[0] > 1:
+            # row r accumulates into its own length-n slice of the flat output
+            index = (index + n * np.arange(rows.shape[0])[:, None]).reshape(-1)
+        np.add.at(out.reshape(-1), index, rows.reshape(-1))
+        return out.reshape(batch + (n,))
 
 
 def _build_layout(grid: Grid, positions: np.ndarray, kind: str) -> CoreLayout:

@@ -31,6 +31,13 @@ from .sketch import SketchBatch
 # imaginary residue allowed when casting SROP outputs to real, relative to
 # the Frobenius norm of the projected matrix
 IMAG_RESIDUE_RTOL = 1e-12
+# CombinedOperator.as_matrix builds its rows a chunk of sketches at a time,
+# with no complex temporary (the chunk's outer products or spectra) above this
+# size, half of glibc's default mmap threshold.  A temporary past the
+# threshold is mapped, and freeing it raises the threshold, which grows the
+# peak resident set of the solves that follow (by about 2 MB on the 1-D sweep
+# with a 1 MiB budget; see LANCZOS_MAX_BASIS)
+AS_MATRIX_CHUNK_BYTES = 1 << 16
 
 
 def _check_same_grid(scene: SceneImage, layout: CoreLayout):
@@ -52,9 +59,15 @@ def image_to_matrix(layout: CoreLayout, values: np.ndarray) -> np.ndarray:
 
 def matrix_to_image(layout: CoreLayout, matrix: np.ndarray) -> np.ndarray:
     """Exact adjoint of :func:`image_to_matrix`: the matrix entries scattered
-    onto their visibility bins, then one inverse FFT; grid-shaped and real."""
+    onto their visibility bins, then one inverse FFT; grid-shaped and real.
+
+    A stack of matrices ``(..., q, q)`` maps to a stack of images
+    ``(..., *grid.shape)`` through one scatter and one inverse FFT, and each
+    image has the bits of a call on its matrix alone.
+    """
     grid = layout.grid
-    image = grid.ifft(layout.scatter(matrix).reshape(grid.shape))
+    spectra = layout.scatter(matrix)
+    image = grid.ifft(spectra.reshape(spectra.shape[:-1] + grid.shape))
     return np.real(image) * grid.fourier_scale
 
 
@@ -235,11 +248,24 @@ class CombinedOperator:
         return matrix_to_image(self.layout, self.srop.adjoint(z)).ravel()
 
     def as_matrix(self) -> np.ndarray:
-        """Dense real matrix equal to ``forward`` on flat images."""
+        """Dense real matrix equal to ``forward`` on flat images.
+
+        Row ``i`` is the image of the outer product of sketch ``i``, less the
+        mean row.  The rows are built a chunk of sketches at a time, one
+        batched :func:`matrix_to_image` per chunk, and each has the bits of
+        ``matrix_to_image(layout, np.outer(a, a.conj()))``.
+        """
         if self._dense is None:
+            alphas = self.sketches.alphas
+            q = self.sketches.q
+            chunk = max(1, AS_MATRIX_CHUNK_BYTES // (16 * max(q * q, self.n)))
             rows = np.empty((self.m, self.n))
-            for m_idx, a in enumerate(self.sketches.alphas):
-                rows[m_idx] = matrix_to_image(self.layout, np.outer(a, a.conj())).ravel()
+            for start in range(0, self.m, chunk):
+                a = alphas[start : start + chunk]
+                outer = a[:, :, None] * a.conj()[:, None, :]
+                rows[start : start + len(a)] = matrix_to_image(self.layout, outer).reshape(
+                    len(a), self.n
+                )
             rows -= rows.mean(axis=0)
             self._dense = rows
         return self._dense

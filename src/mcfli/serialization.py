@@ -191,7 +191,8 @@ def save_fringe_stack(stack, out_dir) -> str:
     """Write one flat float array per frame plus a JSON manifest.
 
     Returns the manifest path. Frames are named ``fringe_q<core>_k<step>.f64``
-    and the reference-only frame ``reference.f64``.
+    and the reference-only frame ``reference.f64``; ``reference_core`` holds
+    the index of the phase-stepped core.
     """
     import os
 
@@ -211,6 +212,7 @@ def save_fringe_stack(stack, out_dir) -> str:
         "frame_shape": list(stack.grid.shape),
         "frames": frame_files,
         "reference": "reference.f64",
+        "reference_core": int(stack.reference),
     }
     path = os.path.join(out_dir, "fringes.json")
     with open(path, "w") as fh:
@@ -219,6 +221,8 @@ def save_fringe_stack(stack, out_dir) -> str:
 
 
 def load_fringe_stack(manifest_path):
+    """Read a stack written by :func:`save_fringe_stack`; a manifest without
+    ``reference_core`` reads as core 0."""
     import os
 
     from .calibration import FringeStack
@@ -232,7 +236,12 @@ def load_fringe_stack(manifest_path):
         [read_float_array(os.path.join(base, f), shape) for f in manifest["frames"]]
     ).reshape((manifest["cores"], manifest["phase_steps"]) + shape)
     reference = read_float_array(os.path.join(base, manifest["reference"]), shape)
-    return FringeStack(grid=grid, frames=frames, reference_frame=reference)
+    return FringeStack(
+        grid=grid,
+        frames=frames,
+        reference_frame=reference,
+        reference=int(manifest.get("reference_core", 0)),
+    )
 
 
 # -- portable graymap --------------------------------------------------------

@@ -52,25 +52,34 @@ def solve_lasso(
     trace = [f]
     converged = False
     it = 0
+    # each x is a convex combination of points of the tau-ball, so ||x|| is
+    # at most tau up to rounding and the stop test below can only pass when
+    # d_norm <= tol * max(1, 2 tau); ||x|| is formed only then
+    stop_screen = config.tol * max(1.0, 2.0 * tau)
     # v.dot(w) is the BLAS dot that v @ w reaches with less dispatch, and
     # sqrt(v.dot(v)) is what np.linalg.norm computes for contiguous real v
     for it in range(1, config.max_iterations + 1):
-        direction = project_l1_ball(x - step * g, tau) - x
+        direction = project_l1_ball(x - step * g, tau)
+        direction -= x
         d_norm = math.sqrt(direction.dot(direction))
-        if d_norm <= config.tol * max(1.0, math.sqrt(x.dot(x))):
+        if d_norm <= stop_screen and d_norm <= config.tol * max(
+            1.0, math.sqrt(x.dot(x))
+        ):
             converged = True
             break
         f_ref = max(trace[-SAFEGUARD_WINDOW:])
         slope = float(g.dot(direction))
         bd = op.forward(direction)
+        # the first trial step is alpha = 1, where alpha * v is v bit for bit
         alpha = 1.0
+        r_new = r + bd
         while True:
-            r_new = r + alpha * bd
             f_new = 0.5 * float(r_new.dot(r_new))
             if f_new <= f_ref + ARMIJO_SLOPE * alpha * slope or alpha < 1e-12:
                 break
             alpha *= 0.5
-        s = alpha * direction
+            r_new = r + alpha * bd
+        s = direction if alpha == 1.0 else alpha * direction
         x = x + s
         r = r_new
         g_new = op.adjoint(r)

@@ -80,9 +80,13 @@ def _lanczos_norm(op) -> float:
 
     q = flat(x)
     q /= np.linalg.norm(q)
-    basis = np.empty((min(LANCZOS_MAX_BASIS, q.size), q.size))
-    alphas, betas = [], []
-    for k in range(basis.shape[0]):
+    kmax = min(LANCZOS_MAX_BASIS, q.size)
+    basis = np.empty((kmax, q.size))
+    # the tridiagonal T_k is the leading (k+1) x (k+1) block, filled in place
+    tri = np.zeros((kmax, kmax))
+    for k in range(kmax):
+        if k:
+            tri[k, k - 1] = tri[k - 1, k] = beta
         basis[k] = q
         w = flat(op.adjoint(op.forward(q.view(dtype).reshape(shape))))
         v = basis[: k + 1]
@@ -92,14 +96,11 @@ def _lanczos_norm(op) -> float:
             w -= h @ v
             alpha += h[k]
         beta = float(np.linalg.norm(w))
-        alphas.append(alpha)
-        ritz, vectors = np.linalg.eigh(
-            np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        )
+        tri[k, k] = alpha
+        ritz, vectors = np.linalg.eigh(tri[: k + 1, : k + 1])
         theta, residual = float(ritz[-1]), beta * abs(float(vectors[-1, -1]))
         if beta == 0.0 or residual <= LANCZOS_RTOL * theta:
             break
-        betas.append(beta)
         q = w / beta
         if matrix_domain:
             h_new = q.view(dtype).reshape(shape)

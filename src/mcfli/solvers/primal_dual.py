@@ -76,6 +76,10 @@ def _l1_constrained_primal_dual(
     # sqrt(v.dot(v)) for contiguous real vectors); matrix iterates keep it
     norm = _vector_norm if x.ndim == 1 else np.linalg.norm
 
+    # project_ball_around(u / sigma, y, 0) is y + 0.0 whatever u is, so at
+    # eps = 0 the dual step subtracts sigma * (y + 0.0), formed once per sigma
+    exact = eps == 0
+    sigma_y = sigma * (y + 0.0) if exact else None
     z = np.zeros(op.m)
     fx = op.forward(x)
     fx_bar = fx.copy()
@@ -88,8 +92,13 @@ def _l1_constrained_primal_dual(
             ratio *= ADAPT_GROWTH
             sigma = 0.99 * ratio / norm_b
             tau = 0.99 / (ratio * norm_b)
+            if exact:
+                sigma_y = sigma * (y + 0.0)
         u = z + sigma * fx_bar
-        z = u - sigma * project_ball_around(u / sigma, y, eps)
+        if exact:
+            z = u - sigma_y
+        else:
+            z = u - sigma * project_ball_around(u / sigma, y, eps)
         x_new = prox(x, op.adjoint(z), tau)
         fx_new = op.forward(x_new)
         resid = float(np.abs(y - fx_new).sum())

@@ -2,11 +2,25 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+@lru_cache(maxsize=8)
+def _counts(n: int) -> np.ndarray:
+    """Read-only ``arange(1, n + 1)``, shared by every projection of size n.
+
+    Held as float64 (exact below 2**53), so dividing by it gives the bits of
+    dividing by the integers, without a cast on every call.
+    """
+    counts = np.arange(1, n + 1, dtype=np.float64)
+    counts.setflags(write=False)
+    return counts
 
 
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
@@ -26,15 +40,21 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     if mags.sum() <= radius:
         return v.copy()
     desc = np.sort(mags)[::-1]
-    cums = desc.cumsum()
-    # desc[k] - (cums[k] - radius) / (k + 1) > 0, written as a comparison:
+    # levels[k] = (desc[0] + ... + desc[k] - radius) / (k + 1), summed in
+    # order and formed in place: the threshold that keeps k + 1 magnitudes
+    levels = desc.cumsum()
+    levels -= radius
+    levels /= _counts(v.size)
+    # desc[k] - levels[k] > 0, written as a comparison:
     # for IEEE doubles a - b > 0 holds exactly when a > b
-    feasible = desc > (cums - radius) / np.arange(1, v.size + 1)
+    feasible = desc > levels
     feasible[0] = True
     last = v.size - int(feasible[::-1].argmax())
-    shift = (cums[last - 1] - radius) / last
-    # soft_threshold(v, shift), reusing the magnitudes
-    return np.sign(v) * np.maximum(mags - shift, 0.0)
+    shift = levels[last - 1]
+    # soft_threshold(v, shift), thresholding the magnitudes in place
+    mags -= shift
+    np.maximum(mags, 0.0, out=mags)
+    return np.sign(v) * mags
 
 
 def project_l1_ball_bisection(

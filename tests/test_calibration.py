@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,20 @@ def test_recovered_reference_has_zero_phase():
     recovered = recover_fields(render_fringes(fields))
     phase = np.angle(recovered.fields[0])[recovered.mask]
     assert np.abs(phase).max() <= 1e-9
+
+
+def test_recovery_keeps_the_reference_core():
+    grid = make_grid(2, 16, 1.0)
+    layout = snapped_spiral(grid, 4)
+    fields = replace(
+        synth_fields(layout, perturbation=("phase-aberration", 0.5), seed=4), reference=2
+    )
+    stack = render_fringes(fields)
+    assert stack.reference == 2
+    recovered = recover_fields(stack)
+    assert recovered.reference == 2
+    assert np.abs(np.angle(recovered.fields[2])[recovered.mask]).max() <= 1e-9
+    assert np.abs(np.angle(recovered.fields[0])[recovered.mask]).max() > 0.1
 
 
 def test_recovery_is_global_phase_referenced():

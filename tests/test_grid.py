@@ -46,6 +46,19 @@ def test_fft_unitary_roundtrip(dim, n1):
     assert np.allclose(back.real, f, atol=1e-12)
 
 
+@pytest.mark.parametrize("dim,n1", [(1, 256), (2, 64)])
+def test_ifft_of_a_stack_is_bit_identical_to_per_slice_calls(dim, n1):
+    g = make_grid(dim, n1, 1.0)
+    rng = np.random.default_rng(2)
+    stack = rng.standard_normal((2, 3) + g.shape) + 1j * rng.standard_normal((2, 3) + g.shape)
+    out = g.ifft(stack)
+    assert out.shape == stack.shape
+    for idx in np.ndindex(2, 3):
+        single = np.fft.fftshift(np.fft.ifftn(stack[idx])) * np.sqrt(g.n_points)
+        assert g.ifft(stack[idx]).tobytes() == single.tobytes()
+        assert out[idx].tobytes() == single.tobytes()
+
+
 def test_fft_adjoint_identity():
     g = make_grid(1, 64, 1.0)
     rng = np.random.default_rng(1)

@@ -1,8 +1,9 @@
 """Source hygiene, checked with the standard library's :mod:`ast` alone.
 
-- No module under ``src/`` or ``tests/`` imports a name it never uses: a
-  stand-in for pyflakes' unused-import check, where every name an import
-  binds must be read somewhere in the module (or listed in its ``__all__``).
+- No module under ``src/``, ``tests/`` or ``perfbench/`` imports a name it
+  never uses: a stand-in for pyflakes' unused-import check, where every name
+  an import binds must be read somewhere in the module (or listed in its
+  ``__all__``).
   ``__future__`` imports and the re-exports of ``__init__.py`` files are
   exempt.
 - No definition under ``src/`` is dead: every module-level function or class,
@@ -22,7 +23,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(
     p
-    for top in ("src", "tests")
+    for top in ("src", "tests", "perfbench")
     for p in (ROOT / top).rglob("*.py")
     if p.name != "__init__.py"
 )

@@ -144,3 +144,18 @@ def test_gather_scatter_adjoint():
     lhs = np.vdot(lay.gather(u), mat)
     rhs = np.vdot(u, lay.scatter(mat))
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_scatter_of_a_stack_is_bit_identical_to_per_matrix_calls():
+    g = make_grid(1, 64, 1.0)
+    lay = random_layout_1d(g, 12, seed=2)
+    assert not lay.is_distinct
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((3, 2, 12, 12)) + 1j * rng.standard_normal((3, 2, 12, 12))
+    out = lay.scatter(stack)
+    assert out.shape == (3, 2, 64)
+    for idx in np.ndindex(3, 2):
+        single = np.zeros(64, dtype=np.complex128)
+        np.add.at(single, lay.bin_map.ravel(), stack[idx].ravel())
+        assert lay.scatter(stack[idx]).tobytes() == single.tobytes()
+        assert out[idx].tobytes() == single.tobytes()

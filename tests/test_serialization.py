@@ -137,6 +137,25 @@ def test_fringe_stack_roundtrip(tmp_path):
     assert np.array_equal(a, b)
 
 
+def test_fringe_stack_roundtrip_keeps_reference_core(tmp_path):
+    from dataclasses import replace
+
+    from mcfli import fermat_spiral_layout, render_fringes, synth_fields
+    from mcfli.serialization import load_fringe_stack, save_fringe_stack
+
+    g = make_grid(2, 16, 1.0)
+    fields = replace(synth_fields(fermat_spiral_layout(g, 4), seed=0), reference=2)
+    manifest = save_fringe_stack(render_fringes(fields), tmp_path / "fringes")
+    assert load_fringe_stack(manifest).reference == 2
+    # a manifest written without the key reads as core 0
+    with open(manifest) as fh:
+        data = json.load(fh)
+    del data["reference_core"]
+    with open(manifest, "w") as fh:
+        json.dump(data, fh)
+    assert load_fringe_stack(manifest).reference == 0
+
+
 def test_pgm_writer(tmp_path):
     img = np.linspace(0, 1, 64).reshape(8, 8)
     path = tmp_path / "img.pgm"

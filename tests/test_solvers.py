@@ -31,7 +31,7 @@ from mcfli.solvers import (
     tv_norm,
 )
 from mcfli.solvers.lasso import SAFEGUARD_WINDOW
-from mcfli.solvers.linop import LANCZOS_RTOL
+from mcfli.solvers.linop import LANCZOS_MAX_BASIS, LANCZOS_RTOL
 
 
 def noiseless_instance(k=2, q=24, m=60, n1=256, seed=0):
@@ -142,6 +142,56 @@ def test_operator_norm_srop_basis_stays_hermitian():
     op = SropOperator(draw_sketches(3, 60, 0), centered=False)
     matrix = np.column_stack([op.forward(e) for e in hermitian_basis(op.q)])
     assert_norm_bound(operator_norm(op), np.linalg.norm(matrix, 2))
+
+
+def lanczos_norm_reference(op):
+    """Lanczos with the tridiagonal rebuilt from lists by ``np.diag`` at each
+    step; otherwise the steps of ``_lanczos_norm``."""
+    rng = np.random.default_rng(0)
+    x = op._power_start(rng) if hasattr(op, "_power_start") else rng.standard_normal(op.n)
+    shape, dtype = x.shape, x.dtype
+
+    def flat(v):
+        return np.array(v, dtype=dtype).reshape(-1).view(np.float64)
+
+    q = flat(x)
+    q /= np.linalg.norm(q)
+    basis = np.empty((min(LANCZOS_MAX_BASIS, q.size), q.size))
+    alphas, betas = [], []
+    for k in range(basis.shape[0]):
+        basis[k] = q
+        w = flat(op.adjoint(op.forward(q.view(dtype).reshape(shape))))
+        v = basis[: k + 1]
+        alpha = 0.0
+        for _ in range(2):
+            h = v @ w
+            w -= h @ v
+            alpha += h[k]
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        ritz, vectors = np.linalg.eigh(
+            np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        )
+        theta, residual = float(ritz[-1]), beta * abs(float(vectors[-1, -1]))
+        if beta == 0.0 or residual <= LANCZOS_RTOL * theta:
+            break
+        betas.append(beta)
+        q = w / beta
+        if x.ndim == 2:
+            h_new = q.view(dtype).reshape(shape)
+            q = flat(0.5 * (h_new + h_new.conj().T))
+            q /= np.linalg.norm(q)
+    return float(np.sqrt(max(theta + residual, 0.0)))
+
+
+@pytest.mark.parametrize("kind", ["dense", "srop"])
+def test_operator_norm_bit_identical_to_list_tridiagonal(kind):
+    if kind == "dense":
+        op = MatrixOperator(noiseless_instance(q=26, m=98, seed=5)[0])
+    else:
+        op = SropOperator(draw_sketches(26, 98, 6), centered=True)
+    expect = lanczos_norm_reference(op)
+    assert np.float64(operator_norm(op)).tobytes() == np.float64(expect).tobytes()
 
 
 # ---------------------------------------------------------------------------
