@@ -21,11 +21,10 @@ import numpy as np
 from .grid import make_grid
 from .layout import downsample_layout, fermat_spiral_layout, random_layout_1d
 from .scene import bar_target_scene, sparse_scene
-from .sensing import CombinedOperator, rs_scan
+from .sensing import CombinedOperator, VisibilityOperator, rs_scan
 from .serialization import scene_from_json, write_complex_matrix, write_pgm
 from .sketch import draw_sketches
 from .solvers import (
-    MatrixOperator,
     SolverConfig,
     solve_bpdn_l1,
     solve_lasso,
@@ -41,6 +40,18 @@ DEFAULT_TRIALS = 80
 
 def _child_seed(master: int, *parts: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(master),) + tuple(int(p) for p in parts))
+
+
+def _spawn(seed, count: int) -> list[np.random.SeedSequence]:
+    """The first ``count`` children of ``seed`` (an entropy or a
+    ``SeedSequence``), with the bits ``SeedSequence.spawn`` gives on a fresh
+    sequence.  They are derived without spawning, which would advance a
+    caller's sequence and give a second call on it other children."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return [
+        np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,), pool_size=ss.pool_size)
+        for i in range(count)
+    ]
 
 
 @dataclass
@@ -73,8 +84,7 @@ def run_trial(
         raise ValueError(f"k={k} exceeds the grid size {n1}")
     if q < 2:
         raise ValueError("need at least two cores")
-    ss = np.random.SeedSequence(seed) if not isinstance(seed, np.random.SeedSequence) else seed
-    s_layout, s_sketch, s_scene = ss.spawn(3)
+    s_layout, s_sketch, s_scene = _spawn(seed, 3)
     grid = make_grid(1, n1, 1.0)
     layout = random_layout_1d(grid, q, s_layout)
     sketches = draw_sketches(q, m, s_sketch)
@@ -320,8 +330,7 @@ def estimate_rip_constants(
     """
     if trials < 100:
         raise ValueError("need at least 100 probe vectors")
-    ss = np.random.SeedSequence(seed)
-    s_layout, s_sketch, s_probe = ss.spawn(3)
+    s_layout, s_sketch, s_probe = _spawn(seed, 3)
     grid = make_grid(1, n1, 1.0)
     layout = random_layout_1d(grid, q, s_layout)
     sketches = draw_sketches(q, m, s_sketch)
@@ -359,8 +368,7 @@ def estimate_rip_constants(
 def rip_pair_extremes(q: int, m: int, seed, n1: int = 32) -> RipEstimate:
     """Exact extremes over the exhaustive set of difference pairs
     ``e_j - e_k`` (all zero-mean 2-sparse sign patterns of that form)."""
-    ss = np.random.SeedSequence(seed)
-    s_layout, s_sketch = ss.spawn(2)
+    s_layout, s_sketch = _spawn(seed, 2)
     grid = make_grid(1, n1, 1.0)
     layout = random_layout_1d(grid, q, s_layout)
     sketches = draw_sketches(q, m, s_sketch)
@@ -437,8 +445,11 @@ def run_imaging_demo(
     Reconstructs a resolution-target cartoon for each (core count,
     measurement count) pair, sweeping the TV weight logarithmically (powers
     ``rho_scale_exponents`` of the data scale) and keeping the best SNR.
-    Writes graymaps, binary arrays and a JSON report when ``out_dir`` is set.
-    Also images the scene in raster-scanning mode for comparison.
+    The solves run on the dense map in visibility coordinates
+    (:class:`~mcfli.sensing.VisibilityOperator`), which has fewer columns
+    than the pixel matrix and gives its results to rounding.  Writes
+    graymaps, binary arrays and a JSON report when ``out_dir`` is set.  Also
+    images the scene in raster-scanning mode for comparison.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -466,12 +477,12 @@ def run_imaging_demo(
         for m in m_values:
             sketches = draw_sketches(qq, m, _child_seed(seed, qq, m))
             op = CombinedOperator(layout, sketches)
-            dense = op.as_matrix()
             y = op.forward(truth)
-            scale = float(np.abs(dense.T @ y).max()) / m
-            # one operator per (q, m): its norm bound is computed once and
-            # reused for every TV weight
-            dense_op = MatrixOperator(dense)
+            # the dense map in visibility coordinates, one operator per
+            # (q, m): its norm bound is computed once and reused for every
+            # TV weight
+            dense_op = VisibilityOperator(op)
+            scale = float(np.abs(dense_op.adjoint(y)).max()) / m
             for e in rho_scale_exponents:
                 rho = scale * 10.0**e
                 res = solve_tv_nonneg(dense_op, y, rho, config, shape=grid.shape)

@@ -69,6 +69,29 @@ class CoreLayout:
     def max_snap_residual(self) -> float:
         return float(self.snap_residuals.max()) if self.order else 0.0
 
+    @cached_property
+    def visibility_bins(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The bins that off-diagonal pairs occupy, split for real coordinates:
+        ``(self_conjugate, pairs, mirrors)``.
+
+        ``self_conjugate`` holds the occupied bins that are their own mirror
+        (bin 0 and the Nyquist bins), ``pairs`` one bin of every occupied
+        conjugate pair and ``mirrors`` its mirror, all in increasing order of
+        the first bin.  The diagonal's bin 0 is left out unless an
+        off-diagonal pair lands there too: unit-modulus sketches put the same
+        weight on it in every measurement, so the centred map never sees it.
+        """
+        bins = np.unique(self.off_diagonal_bins)
+        per_axis = np.unravel_index(bins, self.grid.shape)
+        mirror = np.ravel_multi_index(
+            tuple(-k % self.grid.n1 for k in per_axis), self.grid.shape
+        )
+        first = bins < mirror
+        out = (bins[mirror == bins], bins[first], mirror[first])
+        for arr in out:
+            arr.setflags(write=False)
+        return out
+
     # -- spectrum <-> matrix maps ----------------------------------------
 
     def gather(self, spectrum: np.ndarray) -> np.ndarray:

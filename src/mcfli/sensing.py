@@ -7,12 +7,19 @@ once, as :func:`image_to_matrix` (one FFT, then a gather of the visibility
 bins) with its exact adjoint :func:`matrix_to_image` (scatter, then one
 inverse FFT); the fused operator, its dense matrix and the raster scan all
 compose that pair, and :func:`interferometric_matrix` keeps the pixel-by-pixel
-``direct`` sum as the oracle.  Illumination has one model: a
-:class:`WavefieldSet` of per-core fields, whose speckle for a sketch ``alpha``
-is ``|sum_q alpha_q E_q|^2``.  The far-field plane waves at the cores' own
-frequencies are the set :func:`plane_wave_fields` builds; the speckle and
-speckle-illumination modes read it, and the calibration perturbs and recovers
-it.
+``direct`` sum as the oracle.  The image reaches the measurements only
+through the bins the core pairs occupy, so the map factors through
+:func:`image_to_visibilities`, the isometry onto real coordinates of the
+spectrum at those bins (adjoint :func:`visibilities_to_image`):
+``CombinedOperator.as_matrix(basis="visibilities")`` is the dense factor on
+them, and :class:`VisibilityOperator` applies the map through it, with fewer
+columns than pixels whenever bins are left unoccupied.
+
+Illumination has one model: a :class:`WavefieldSet` of per-core fields,
+whose speckle for a sketch ``alpha`` is ``|sum_q alpha_q E_q|^2``.  The
+far-field plane waves at the cores' own frequencies are the set
+:func:`plane_wave_fields` builds; the speckle and speckle-illumination modes
+read it, and the calibration perturbs and recovers it.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .hermitian import HermitianMatrix
 from .layout import CoreLayout
 from .scene import SceneImage
 from .sketch import SketchBatch
+from .solvers.linop import MatrixOperator
 
 # imaginary residue allowed when casting SROP outputs to real, relative to
 # the Frobenius norm of the projected matrix
@@ -65,8 +73,10 @@ def matrix_to_image(layout: CoreLayout, matrix: np.ndarray) -> np.ndarray:
     ``(..., *grid.shape)`` through one scatter and one inverse FFT, and each
     image has the bits of a call on its matrix alone.
     """
-    grid = layout.grid
-    spectra = layout.scatter(matrix)
+    return _spectra_to_images(layout.grid, layout.scatter(matrix))
+
+
+def _spectra_to_images(grid: Grid, spectra: np.ndarray) -> np.ndarray:
     image = grid.ifft(spectra.reshape(spectra.shape[:-1] + grid.shape))
     return np.real(image) * grid.fourier_scale
 
@@ -102,6 +112,49 @@ def interferometric_rank(
 
 
 # ---------------------------------------------------------------------------
+# visibility coordinates
+# ---------------------------------------------------------------------------
+
+
+def _visibility_coordinates(layout: CoreLayout, spectra: np.ndarray) -> np.ndarray:
+    """Real coordinates of flat spectra ``(..., n)`` at the layout's
+    occupied bins: the real part at each self-conjugate bin, then
+    ``sqrt(2) Re`` and ``sqrt(2) Im`` at one bin of each conjugate pair."""
+    real, pairs, _ = layout.visibility_bins
+    paired = spectra[..., pairs] * np.sqrt(2.0)
+    return np.concatenate((spectra[..., real].real, paired.real, paired.imag), axis=-1)
+
+
+def image_to_visibilities(layout: CoreLayout, values: np.ndarray) -> np.ndarray:
+    """The unitary spectrum (:meth:`Grid.fft`) of a grid-shaped real image at
+    the bins the layout's core pairs occupy, as real coordinates.
+
+    A conjugate pair of bins carries one complex value of a real image's
+    spectrum, stored as ``sqrt(2) Re`` and ``sqrt(2) Im``; a self-conjugate
+    bin carries one real value.  The map is an isometry on those bins, so it
+    preserves inner products of images whose spectra live there, and the
+    centred sensing map factors through it (``CombinedOperator.as_matrix``
+    with ``basis="visibilities"``).
+    """
+    return _visibility_coordinates(layout, layout.grid.fft(values).ravel())
+
+
+def visibilities_to_image(layout: CoreLayout, coords: np.ndarray) -> np.ndarray:
+    """Exact adjoint of :func:`image_to_visibilities`: the coordinates placed
+    on their bins and mirrored, then one inverse FFT; grid-shaped and real."""
+    grid = layout.grid
+    real, pairs, mirrors = layout.visibility_bins
+    split = np.cumsum((real.size, pairs.size))
+    on_real, re, im = np.split(np.asarray(coords, dtype=np.float64), split)
+    paired = (re + 1j * im) / np.sqrt(2.0)
+    spectrum = np.zeros(grid.n_points, dtype=np.complex128)
+    spectrum[real] = on_real
+    spectrum[pairs] = paired
+    spectrum[mirrors] = paired.conj()
+    return np.real(grid.ifft(spectrum.reshape(grid.shape)))
+
+
+# ---------------------------------------------------------------------------
 # symmetric rank-one projections
 # ---------------------------------------------------------------------------
 
@@ -113,8 +166,9 @@ class SropOperator:
     sketching vector; with ``centered=True`` the measurement mean is
     subtracted, which makes the map blind to the matrix diagonal (unit-modulus
     sketches put identical weight on every diagonal entry).  The sketch
-    matrix and its conjugate are cached on first use, so repeated calls
-    (one forward and one adjoint per solver iteration) build neither again.
+    matrix is cached on the batch and its conjugate here on first use, so
+    repeated calls (one forward and one adjoint per solver iteration) build
+    neither again.
     """
 
     def __init__(self, sketches: SketchBatch, centered: bool = False):
@@ -122,12 +176,8 @@ class SropOperator:
         self.centered = centered
 
     @cached_property
-    def _alphas(self) -> np.ndarray:
-        return np.ascontiguousarray(self.sketches.alphas)
-
-    @cached_property
     def _alphas_conj(self) -> np.ndarray:
-        return self._alphas.conj()
+        return self.sketches.alphas.conj()
 
     @property
     def m(self) -> int:
@@ -141,7 +191,7 @@ class SropOperator:
         h = np.asarray(matrix, dtype=np.complex128)
         if h.shape != (self.q, self.q):
             raise ValueError(f"expected a {self.q}x{self.q} matrix, got {h.shape}")
-        y = np.einsum("mq,mq->m", self._alphas_conj, self._alphas @ h.T)
+        y = np.einsum("mq,mq->m", self._alphas_conj, self.sketches.alphas @ h.T)
         scale = max(np.linalg.norm(h), np.finfo(float).tiny)
         residue = np.abs(y.imag).max()
         if residue > IMAG_RESIDUE_RTOL * scale:
@@ -161,7 +211,7 @@ class SropOperator:
             raise ValueError(f"expected {self.m} weights, got shape {z.shape}")
         if self.centered:
             z = z - z.mean()
-        return (self._alphas.T * z) @ self._alphas_conj
+        return (self.sketches.alphas.T * z) @ self._alphas_conj
 
     def _power_start(self, rng: np.random.Generator) -> np.ndarray:
         """Random Hermitian start of the Lanczos iteration in
@@ -211,7 +261,8 @@ class CombinedOperator:
     ``forward`` takes a flat (or grid-shaped) real image of the layout's grid
     and returns the centered projections of its interferometric matrix.
     ``adjoint`` is the exact transpose.  ``as_matrix`` materializes the map as
-    a dense ``(m, n)`` array, worthwhile for the desk-scale Monte-Carlo runs.
+    a dense ``(m, n)`` array, worthwhile for the desk-scale Monte-Carlo runs,
+    or as its ``(m, D)`` factor on the ``D`` visibility coordinates.
     """
 
     def __init__(self, layout: CoreLayout, sketches: SketchBatch):
@@ -223,7 +274,7 @@ class CombinedOperator:
         self.grid = layout.grid
         self.sketches = sketches
         self.srop = SropOperator(sketches, centered=True)
-        self._dense: np.ndarray | None = None
+        self._dense: dict[str, np.ndarray] = {}
 
     @property
     def n(self) -> int:
@@ -247,28 +298,78 @@ class CombinedOperator:
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         return matrix_to_image(self.layout, self.srop.adjoint(z)).ravel()
 
-    def as_matrix(self) -> np.ndarray:
-        """Dense real matrix equal to ``forward`` on flat images.
+    def as_matrix(self, basis: str = "pixels") -> np.ndarray:
+        """Dense real matrix of the map, cached per basis.
 
-        Row ``i`` is the image of the outer product of sketch ``i``, less the
-        mean row.  The rows are built a chunk of sketches at a time, one
-        batched :func:`matrix_to_image` per chunk, and each has the bits of
-        ``matrix_to_image(layout, np.outer(a, a.conj()))``.
+        ``pixels`` gives the ``(m, n)`` matrix equal to ``forward`` on flat
+        images.  Row ``i`` is the image of the outer product of sketch
+        ``i``, less the mean row.  The rows are built a chunk of sketches at
+        a time, one batched scatter and inverse FFT per chunk, and each has
+        the bits of ``matrix_to_image(layout, np.outer(a, a.conj()))``.
+
+        ``visibilities`` gives the ``(m, D)`` matrix ``C`` on the layout's
+        ``D`` visibility coordinates, with ``forward(f) = C @
+        image_to_visibilities(layout, f)`` to rounding.  Its rows read the
+        same scattered spectra at the occupied bins, with no inverse FFT.
+        The map has rank at most ``D``, which is below ``n`` once the cores
+        leave bins unoccupied (2460 against 4096 for 110 cores on a 64x64
+        grid).
         """
-        if self._dense is None:
-            alphas = self.sketches.alphas
-            q = self.sketches.q
-            chunk = max(1, AS_MATRIX_CHUNK_BYTES // (16 * max(q * q, self.n)))
-            rows = np.empty((self.m, self.n))
-            for start in range(0, self.m, chunk):
-                a = alphas[start : start + chunk]
-                outer = a[:, :, None] * a.conj()[:, None, :]
-                rows[start : start + len(a)] = matrix_to_image(self.layout, outer).reshape(
-                    len(a), self.n
-                )
+        if basis not in ("pixels", "visibilities"):
+            raise ValueError(f"unknown basis {basis!r}")
+        if basis not in self._dense:
+            pixels = basis == "pixels"
+            if pixels:
+                width = self.n
+            else:
+                real, pairs, _ = self.layout.visibility_bins
+                width = real.size + 2 * pairs.size
+            rows = np.empty((self.m, width))
+            for start, spectra in self._scattered_outer_products():
+                block = rows[start : start + len(spectra)]
+                if pixels:
+                    block[:] = _spectra_to_images(self.grid, spectra).reshape(len(spectra), -1)
+                else:
+                    block[:] = self.grid.fourier_scale * _visibility_coordinates(
+                        self.layout, spectra
+                    )
             rows -= rows.mean(axis=0)
-            self._dense = rows
-        return self._dense
+            self._dense[basis] = rows
+        return self._dense[basis]
+
+    def _scattered_outer_products(self):
+        """Yield ``(start, spectra)``: the scattered outer products of the
+        sketches from ``start`` on, a chunk at a time."""
+        alphas = self.sketches.alphas
+        q = self.sketches.q
+        chunk = max(1, AS_MATRIX_CHUNK_BYTES // (16 * max(q * q, self.n)))
+        for start in range(0, self.m, chunk):
+            a = alphas[start : start + chunk]
+            yield start, self.layout.scatter(a[:, :, None] * a.conj()[:, None, :])
+
+
+class VisibilityOperator:
+    """The centred sensing map as ``f -> C @ image_to_visibilities(f)``.
+
+    ``C`` is ``CombinedOperator.as_matrix(basis="visibilities")``, held as a
+    :class:`~mcfli.solvers.linop.MatrixOperator`.  Images are flat or
+    grid-shaped; the adjoint returns flat images.  Each product streams the
+    ``(m, D)`` matrix once and makes one FFT, which is cheaper than the
+    ``(m, n)`` pixel matrix when ``D < n``.
+    """
+
+    def __init__(self, op: CombinedOperator):
+        self.layout = op.layout
+        self.grid = op.grid
+        self.coords = MatrixOperator(op.as_matrix(basis="visibilities"))
+        self.m, self.n = op.m, op.n
+
+    def forward(self, v: np.ndarray) -> np.ndarray:
+        image = np.asarray(v, dtype=np.float64).reshape(self.grid.shape)
+        return self.coords.forward(image_to_visibilities(self.layout, image))
+
+    def adjoint(self, z: np.ndarray) -> np.ndarray:
+        return visibilities_to_image(self.layout, self.coords.adjoint(z)).ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Random sketching vectors: per-core complex amplitudes set by the SLM.
 
 Entries are phase-only, so the batch stores the phases themselves; the
-complex amplitudes ``exp(i * phase)`` are materialized on demand.  Phases are
-uniform on ``[0, 2pi)``, optionally quantized to ``2**quant_bits`` levels to
-mimic the finite resolution of a phase modulator.
+complex amplitudes ``exp(i * phase)`` are materialized once, on first use.
+Phases are uniform on ``[0, 2pi)``, optionally quantized to
+``2**quant_bits`` levels to mimic the finite resolution of a phase
+modulator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,10 +38,13 @@ class SketchBatch:
             return "uniform-phase"
         return f"uniform-phase-{self.quant_bits}bit"
 
-    @property
+    @cached_property
     def alphas(self) -> np.ndarray:
-        """Unit-modulus complex amplitudes, shape ``(m, q)``."""
-        return np.exp(1j * self.phases)
+        """Unit-modulus complex amplitudes, shape ``(m, q)``; computed once
+        per batch, read-only, and shared by every operator built on it."""
+        alphas = np.exp(1j * self.phases)
+        alphas.setflags(write=False)
+        return alphas
 
 
 def draw_sketches(q: int, m: int, seed, quant_bits: int | None = None) -> SketchBatch:

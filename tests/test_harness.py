@@ -13,8 +13,15 @@ from mcfli.harness import (
     run_trial,
     transition_midpoint,
 )
-from mcfli import CombinedOperator, draw_sketches, make_grid, random_layout_1d
-from mcfli.solvers import linop
+from mcfli import (
+    CombinedOperator,
+    bar_target_scene,
+    draw_sketches,
+    fermat_spiral_layout,
+    make_grid,
+    random_layout_1d,
+)
+from mcfli.solvers import MatrixOperator, linop, solve_tv_nonneg, vignetted_snr
 from mcfli.solvers.config import MAX_ITERATIONS_DEFAULT, SolverConfig
 from mcfli.solvers.metrics import SNR_CAP_DB
 
@@ -53,6 +60,23 @@ def test_cap_hit_trial_reports_not_converged():
     assert failed.converged
     assert failed.iterations < MAX_ITERATIONS_DEFAULT
     assert not failed.success
+
+
+def test_seed_sequences_are_not_consumed():
+    # a SeedSequence passed twice gives the same draws, and the same as a
+    # fresh sequence of that entropy
+    def seed():
+        return np.random.SeedSequence((20260809, 4, 26, 98, 0))
+
+    ss = seed()
+    first, second = run_trial(4, 26, 98, ss), run_trial(4, 26, 98, ss)
+    assert first == second == run_trial(4, 26, 98, seed())
+    rip = estimate_rip_constants(2, 6, 20, trials=100, seed=ss, n1=32)
+    assert rip == estimate_rip_constants(2, 6, 20, trials=100, seed=ss, n1=32)
+    assert rip == estimate_rip_constants(2, 6, 20, trials=100, seed=seed(), n1=32)
+    pairs = rip_pair_extremes(4, 10, seed=ss, n1=16)
+    assert pairs == rip_pair_extremes(4, 10, seed=ss, n1=16)
+    assert pairs == rip_pair_extremes(4, 10, seed=seed(), n1=16)
 
 
 def test_trial_rejects_bad_args():
@@ -223,3 +247,26 @@ def test_imaging_demo_runs_lanczos_once_per_operator(monkeypatch):
     )
     assert [(e.q, e.m) for e in report.entries] == [(12, 60), (12, 60)]
     assert len(runs) == 1
+
+
+def test_imaging_demo_matches_the_pixel_matrix_solve():
+    # the demo solves on the dense map in visibility coordinates; the same
+    # solve on the pixel matrix gives the same SNR
+    n1, q, m, seed, exponent = 64, 12, 60, 3, -2.0
+    config = SolverConfig(max_iterations=200, tol=1e-8)
+    report = run_imaging_demo(
+        n1=n1, q=q, m_values=[m], rho_scale_exponents=(exponent,), seed=seed,
+        include_rs=False, config=config,
+    )
+    grid = make_grid(2, n1, 1.0)
+    scene = bar_target_scene(grid)
+    sketches = draw_sketches(q, m, np.random.SeedSequence((seed, q, m)))
+    op = CombinedOperator(fermat_spiral_layout(grid, q), sketches)
+    dense = op.as_matrix()
+    y = op.forward(scene.values)
+    rho = float(np.abs(dense.T @ y).max()) / m * 10.0**exponent
+    res = solve_tv_nonneg(MatrixOperator(dense), y, rho, config, shape=grid.shape)
+    entry = report.entries[0]
+    assert entry.rho == pytest.approx(rho, rel=1e-12)
+    assert entry.iterations == res.iterations
+    assert abs(entry.snr_db - vignetted_snr(res.estimate, scene.values, scene.vignette)) <= 1e-6

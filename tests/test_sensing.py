@@ -19,8 +19,16 @@ from mcfli import (
     spikes_scene,
     zeros_scene,
 )
-from mcfli.layout import fermat_spiral_layout
-from mcfli.sensing import srop_centered_forward, srop_forward
+from mcfli.layout import explicit_layout, fermat_spiral_layout
+from mcfli.sensing import (
+    VisibilityOperator,
+    image_to_visibilities,
+    srop_centered_forward,
+    srop_forward,
+    visibilities_to_image,
+)
+from mcfli.solvers import MatrixOperator, operator_norm
+from mcfli.solvers.linop import LANCZOS_RTOL
 
 
 def direct_sum_oracle(scene, layout):
@@ -361,6 +369,99 @@ def test_dense_matrix_bit_identical_to_per_row_build(dim, q, m):
         assert not lay.is_distinct  # duplicate bins sum in pair order
     op = CombinedOperator(lay, draw_sketches(q, m, seed=4))
     assert op.as_matrix().tobytes() == per_row_dense(op).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# visibility coordinates
+# ---------------------------------------------------------------------------
+
+
+def _visibility_case(case):
+    """A CombinedOperator on one of three layouts: the 2-D spiral, a 1-D
+    comb with a pair 128 pitches apart (the Nyquist bin of n1=256), and an
+    explicit 1-D layout with two cores 0.3 pitch apart (an off-diagonal pair
+    snapped to bin 0)."""
+    if case == "2d-spiral":
+        g = make_grid(2, 16, 1.0)
+        lay = fermat_spiral_layout(g, 12)
+    elif case == "1d-nyquist":
+        g = make_grid(1, 256, 1.0)
+        slots = np.array([-64, -20, -3, 0, 5, 17, 41, 64])
+        lay = explicit_layout(g, slots[:, None] * g.core_pitch)
+    else:
+        g = make_grid(1, 64, 1.0)
+        slots = np.array([-11.0, 0.0, 0.3, 4.0, 9.0, 20.0])
+        lay = explicit_layout(g, slots[:, None] * g.core_pitch)
+    return CombinedOperator(lay, draw_sketches(lay.order, 60, seed=7))
+
+
+VISIBILITY_CASES = ["2d-spiral", "1d-nyquist", "1d-bin0"]
+
+
+def test_visibility_cases_hit_their_special_bins():
+    nyquist = _visibility_case("1d-nyquist").layout
+    assert nyquist.visibility_bins[0].tolist() == [128]
+    snapped = _visibility_case("1d-bin0").layout
+    assert snapped.visibility_bins[0].tolist() == [0]
+    spiral = _visibility_case("2d-spiral").layout
+    real, pairs, mirrors = spiral.visibility_bins
+    assert real.size == 0 and 2 * pairs.size == spiral.distinct_visibilities
+    assert set(pairs) | set(mirrors) == set(spiral.off_diagonal_bins)
+
+
+@pytest.mark.parametrize("case", VISIBILITY_CASES)
+def test_visibility_coordinates_round_trip(case):
+    lay = _visibility_case(case).layout
+    real, pairs, _ = lay.visibility_bins
+    coords = np.random.default_rng(1).standard_normal(real.size + 2 * pairs.size)
+    back = image_to_visibilities(lay, visibilities_to_image(lay, coords))
+    assert np.abs(back - coords).max() <= 1e-13 * np.abs(coords).max()
+
+
+@pytest.mark.parametrize("case", VISIBILITY_CASES)
+def test_visibility_coordinates_exact_adjoint(case):
+    lay = _visibility_case(case).layout
+    real, pairs, _ = lay.visibility_bins
+    rng = np.random.default_rng(2)
+    for _ in range(5):
+        f = rng.standard_normal(lay.grid.shape)
+        c = rng.standard_normal(real.size + 2 * pairs.size)
+        lhs = image_to_visibilities(lay, f) @ c
+        rhs = np.sum(f * visibilities_to_image(lay, c))
+        assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(f) * np.linalg.norm(c)
+
+
+@pytest.mark.parametrize("case", VISIBILITY_CASES)
+def test_visibility_matrix_factors_the_pixel_matrix(case):
+    op = _visibility_case(case)
+    grid = op.grid
+    # the coordinates of every pixel's unit image, as a (D, n) matrix
+    phi = np.stack(
+        [image_to_visibilities(op.layout, e.reshape(grid.shape)) for e in np.eye(op.n)],
+        axis=1,
+    )
+    pixels = op.as_matrix()
+    factored = op.as_matrix(basis="visibilities") @ phi
+    assert np.linalg.norm(factored - pixels) <= 1e-13 * np.linalg.norm(pixels)
+    assert op.as_matrix(basis="visibilities") is op.as_matrix(basis="visibilities")
+
+
+@pytest.mark.parametrize("case", VISIBILITY_CASES)
+def test_visibility_operator_matches_the_pixel_matrix(case):
+    op = _visibility_case(case)
+    vis, pixels = VisibilityOperator(op), op.as_matrix()
+    rng = np.random.default_rng(3)
+    v, z = rng.standard_normal(op.n), rng.standard_normal(op.m)
+    assert np.linalg.norm(vis.forward(v) - pixels @ v) <= 1e-13 * np.linalg.norm(pixels @ v)
+    assert np.linalg.norm(vis.adjoint(z) - pixels.T @ z) <= 1e-13 * np.linalg.norm(pixels.T @ z)
+    assert operator_norm(vis) == pytest.approx(
+        operator_norm(MatrixOperator(pixels)), rel=LANCZOS_RTOL
+    )
+
+
+def test_as_matrix_rejects_an_unknown_basis():
+    with pytest.raises(ValueError):
+        _combined().as_matrix(basis="fourier")
 
 
 def test_combined_shape_validation():

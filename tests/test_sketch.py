@@ -67,3 +67,13 @@ def test_wrap_explicit_alphas():
     assert np.allclose(batch.alphas, a, atol=1e-12)
     with pytest.raises(ValueError):
         sketches_from_alphas(np.array([[0.5 + 0j, 1.0]]))
+
+
+def test_alphas_are_computed_once_and_read_only():
+    batch = draw_sketches(5, 7, seed=3)
+    alphas = batch.alphas
+    assert alphas is batch.alphas
+    assert not alphas.flags.writeable
+    assert np.array_equal(alphas, np.exp(1j * batch.phases))
+    with pytest.raises(ValueError):
+        alphas[0, 0] = 1.0
