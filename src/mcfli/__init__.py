@@ -7,9 +7,6 @@ calibration, and Monte-Carlo harnesses.
 
 from .calibration import (
     FringeStack,
-    WavefieldSet,
-    generalized_forward,
-    generalized_matrix,
     recover_fields,
     render_fringes,
     synth_fields,
@@ -38,15 +35,15 @@ from .sensing import (
     MeasurementRecord,
     NoiseModel,
     SropOperator,
+    WavefieldSet,
     add_noise,
     debias,
     interferometric_matrix,
     interferometric_rank,
     measure,
+    plane_wave_fields,
     rs_measure,
     rs_scan,
-    si_measure,
-    speckle_field,
     srop_centered_forward,
     srop_forward,
 )
@@ -96,19 +93,16 @@ __all__ = [
     "srop_forward",
     "srop_centered_forward",
     "debias",
-    "speckle_field",
     "rs_measure",
     "rs_scan",
-    "si_measure",
     "add_noise",
     "measure",
     "WavefieldSet",
+    "plane_wave_fields",
     "FringeStack",
     "synth_fields",
     "render_fringes",
     "recover_fields",
-    "generalized_forward",
-    "generalized_matrix",
     "SolverConfig",
     "RecoveryResult",
     "solve_lasso",

@@ -1,15 +1,18 @@
 """Simulated phase-shifting calibration of the per-core wavefields.
 
-The generalized sensing model keeps the one illumination model of
-:mod:`mcfli.sensing`, a :class:`~mcfli.sensing.WavefieldSet`, but lets its
-per-core fields depart from the far-field plane waves.  Synthetic fields start
-from :func:`~mcfli.sensing.plane_wave_fields` and multiply each core by a
-smooth random amplitude or phase profile.  Calibration recovers the fields
-from intensity-only fringe patterns: for each core an 8-frame stack is
-rendered against a phase-stepped reference core, and an 8-point DFT along the
-steps isolates the interference term.  The recovered fields carry the
-reference core's phase as a common per-pixel factor, which cancels in every
-predicted speckle.
+Calibration keeps the one illumination model of :mod:`mcfli.sensing`, a
+:class:`~mcfli.sensing.WavefieldSet`, but lets its per-core fields depart from
+the far-field plane waves.  This module makes and measures fields: it
+synthesises them, renders their fringes, recovers them and scores their
+speckles; the set's own ``sensing_matrix`` and ``interferometric_matrix``
+image through them.  Synthetic fields start from
+:func:`~mcfli.sensing.plane_wave_fields` and multiply each core by a smooth
+random amplitude or phase profile.  Calibration recovers the fields from
+intensity-only fringe patterns: for each core an 8-frame stack is rendered
+against a phase-stepped reference core, and an 8-point DFT along the steps
+isolates the interference term.  The recovered fields carry the reference
+core's phase as a common per-pixel factor, which cancels in every predicted
+speckle.
 """
 
 from __future__ import annotations
@@ -19,11 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid
-from .hermitian import HermitianMatrix
 from .layout import CoreLayout
-from .scene import SceneImage
-from .sensing import WavefieldSet, debias, plane_wave_fields
-from .sketch import SketchBatch
+from .sensing import WavefieldSet, plane_wave_fields
 
 N_PHASE_STEPS = 8
 REFERENCE_FLOOR_RATIO = 1e-6
@@ -117,9 +117,7 @@ def render_fringes(
     )
 
 
-def recover_fields(
-    stack: FringeStack, floor_ratio: float = REFERENCE_FLOOR_RATIO
-) -> WavefieldSet:
+def recover_fields(stack: FringeStack) -> WavefieldSet:
     """Recover the wavefields (referenced to the reference core's phase).
 
     The recovered set keeps the stack's reference core, whose field comes
@@ -128,11 +126,11 @@ def recover_fields(
     The 7-th coefficient of the 8-point DFT along the phase steps equals
     ``4 * I_i * exp(i * relative phase)``; dividing by ``8 * sqrt(I_ref)``
     yields the field.  Pixels whose reference intensity falls below
-    ``floor_ratio * max`` are masked out; recovery fails if more than half
-    the field of view is masked.
+    ``REFERENCE_FLOOR_RATIO * max`` are masked out; recovery fails if more
+    than half the field of view is masked.
     """
     i00 = stack.reference_frame
-    floor = floor_ratio * i00.max()
+    floor = REFERENCE_FLOOR_RATIO * i00.max()
     mask = i00 > floor
     if mask.mean() < 0.5:
         raise ValueError(
@@ -142,31 +140,6 @@ def recover_fields(
     denom = np.where(mask, np.sqrt(np.abs(i00)), 1.0)
     fields = np.where(mask[None], coef / (N_PHASE_STEPS * denom[None]), 0.0)
     return WavefieldSet(grid=stack.grid, fields=fields, reference=stack.reference, mask=mask)
-
-
-def generalized_matrix(fields: WavefieldSet, scene: SceneImage) -> HermitianMatrix:
-    """The Hermitian matrix of cross-core overlaps weighted by the image."""
-    if scene.grid != fields.grid:
-        raise ValueError("scene and fields are defined on different grids")
-    flat = fields.fields.reshape(fields.order, -1)
-    weighted = flat.conj() * scene.values.ravel()
-    return HermitianMatrix(fields.grid.pixel_volume * (weighted @ flat.T))
-
-
-def generalized_forward(
-    fields: WavefieldSet, sketches: SketchBatch, scene: SceneImage
-) -> np.ndarray:
-    """Debiased measurements predicted from calibrated fields.
-
-    Each raw value is the inner product of the predicted speckle with the
-    image; the cross-core matrix itself is never materialized.
-    """
-    if scene.grid != fields.grid:
-        raise ValueError("scene and fields are defined on different grids")
-    if sketches.q != fields.order:
-        raise ValueError("sketch length does not match the number of fields")
-    speckles = fields.predict_speckle(sketches.alphas).reshape(sketches.m, -1)
-    return debias(fields.grid.pixel_volume * (speckles @ scene.values.ravel()))
 
 
 def speckle_cross_correlation(predicted: np.ndarray, truth: np.ndarray) -> float:

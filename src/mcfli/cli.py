@@ -8,8 +8,11 @@ Subcommands::
     mcfli demo      2-D imaging demo (TV reconstruction + raster scan)
     mcfli calibrate synthetic phase-shifting calibration round trip
 
-Common flags: ``--config <json>``, ``--seed <u64>``, ``--out <path>``,
-``--threads <n>``.
+Every subcommand takes ``--seed <u64>``.  ``--out <path>`` is taken by
+``sweep``, ``rip``, ``demo`` and ``calibrate``; ``--config <json>`` by
+``trial`` and ``demo`` (a solver config) and ``sweep`` (a sweep spec); and
+``--threads <n>`` by ``sweep`` alone.  Each subcommand declares only the
+flags it reads.
 """
 
 from __future__ import annotations
@@ -30,11 +33,17 @@ from .harness import (
 from .solvers import SolverConfig
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--out", type=str, default=None, help="output path")
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--config", type=str, default=None, help="JSON config file")
+_SHARED_FLAGS = {
+    "--seed": dict(type=int, default=0, help="master seed"),
+    "--out": dict(type=str, default=None, help="output path"),
+    "--threads": dict(type=int, default=1, help="worker processes"),
+    "--config": dict(type=str, default=None, help="JSON config file"),
+}
+
+
+def _add_shared(parser, *flags):
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def _load_json(path):
@@ -155,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n1", type=int, default=256)
     p.add_argument("--solver", choices=("lasso", "bpdn"), default="lasso")
     p.add_argument("--threshold", type=float, default=40.0)
-    _add_common(p)
+    _add_shared(p, "--seed", "--config")
     p.set_defaults(func=_cmd_trial)
 
     p = sub.add_parser("sweep", help="phase-transition sweep")
@@ -168,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=80)
     p.add_argument("--threshold", type=float, default=40.0)
     p.add_argument("--solver", choices=("lasso", "bpdn"), default="lasso")
-    _add_common(p)
+    _add_shared(p, "--seed", "--out", "--threads", "--config")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("rip", help="empirical restricted-isometry constants")
@@ -177,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=122)
     p.add_argument("--n1", type=int, default=256)
     p.add_argument("--trials", type=int, default=200)
-    _add_common(p)
+    _add_shared(p, "--seed", "--out")
     p.set_defaults(func=_cmd_rip)
 
     p = sub.add_parser("demo", help="2-D imaging demo")
@@ -186,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=110)
     p.add_argument("--m", type=int, nargs="+", default=[3000])
     p.add_argument("--compare-q", type=int, nargs="+", default=None)
-    _add_common(p)
+    _add_shared(p, "--seed", "--out", "--config")
     p.set_defaults(func=_cmd_demo)
 
     p = sub.add_parser("calibrate", help="synthetic calibration round trip")
@@ -197,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturbation", choices=("amplitude-ripple", "phase-aberration"),
                    default=None)
     p.add_argument("--delta", type=float, default=0.05)
-    _add_common(p)
+    _add_shared(p, "--seed", "--out")
     p.set_defaults(func=_cmd_calibrate)
     return parser
 

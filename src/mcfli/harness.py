@@ -54,6 +54,21 @@ def _spawn(seed, count: int) -> list[np.random.SeedSequence]:
     ]
 
 
+def _draw_operator(seed, q: int, m: int, n1: int):
+    """The 1-D operator of a trial or a RIP estimate, and what is left of
+    the seed.
+
+    The seed's first child draws the layout on an ``n1``-point grid and its
+    second the ``m`` sketches; the third, returned with the operator, draws
+    what the operator is applied to (the scene or the probes).
+    """
+    s_layout, s_sketch, s_rest = _spawn(seed, 3)
+    grid = make_grid(1, n1, 1.0)
+    layout = random_layout_1d(grid, q, s_layout)
+    sketches = draw_sketches(q, m, s_sketch)
+    return CombinedOperator(layout, sketches), s_rest
+
+
 @dataclass
 class TrialResult:
     snr_db: float
@@ -84,13 +99,8 @@ def run_trial(
         raise ValueError(f"k={k} exceeds the grid size {n1}")
     if q < 2:
         raise ValueError("need at least two cores")
-    s_layout, s_sketch, s_scene = _spawn(seed, 3)
-    grid = make_grid(1, n1, 1.0)
-    layout = random_layout_1d(grid, q, s_layout)
-    sketches = draw_sketches(q, m, s_sketch)
-    scene = sparse_scene(grid, k, s_scene, zero_mean=True)
-
-    op = CombinedOperator(layout, sketches)
+    op, s_scene = _draw_operator(seed, q, m, n1)
+    scene = sparse_scene(op.grid, k, s_scene, zero_mean=True)
     y = op.forward(scene.values)
     dense = op.as_matrix()
     truth = scene.values.ravel()
@@ -109,7 +119,7 @@ def run_trial(
     return TrialResult(
         snr_db=snr,
         success=snr >= threshold_db,
-        visibilities=layout.distinct_visibilities,
+        visibilities=op.layout.distinct_visibilities,
         iterations=result.iterations,
         converged=result.converged,
     )
@@ -311,8 +321,21 @@ class RipEstimate:
         return self.upper / self.envelope if self.envelope > 0 else math.inf
 
 
-def _rip_ratio(dense: np.ndarray, v: np.ndarray) -> float:
-    return float(np.abs(dense @ v).sum() / (dense.shape[0] * np.linalg.norm(v)))
+def _rip_extremes(op: CombinedOperator, probes: np.ndarray) -> RipEstimate:
+    """Extremes of ``||B v||_1 / (m ||v||)`` over the columns ``v`` of
+    ``probes`` (one product with the dense map), against the envelope."""
+    ratios = np.abs(op.as_matrix() @ probes).sum(axis=0) / (
+        op.m * np.linalg.norm(probes, axis=0)
+    )
+    grid, visibilities = op.grid, op.layout.distinct_visibilities
+    envelope = grid.fourier_scale * np.sqrt(visibilities) / np.sqrt(grid.n_points)
+    return RipEstimate(
+        lower=float(ratios.min()),
+        upper=float(ratios.max()),
+        envelope=float(envelope),
+        visibilities=visibilities,
+        trials=probes.shape[1],
+    )
 
 
 def estimate_rip_constants(
@@ -330,72 +353,27 @@ def estimate_rip_constants(
     """
     if trials < 100:
         raise ValueError("need at least 100 probe vectors")
-    s_layout, s_sketch, s_probe = _spawn(seed, 3)
-    grid = make_grid(1, n1, 1.0)
-    layout = random_layout_1d(grid, q, s_layout)
-    sketches = draw_sketches(q, m, s_sketch)
-    dense = CombinedOperator(layout, sketches).as_matrix()
-
+    if k0 < 1:
+        raise ValueError("probe vectors need at least one nonzero")
+    op, s_probe = _draw_operator(seed, q, m, n1)
     rng = np.random.default_rng(s_probe)
-    lo, hi = math.inf, 0.0
-    for _ in range(trials):
-        v = np.zeros(grid.n_points)
-        support = rng.choice(grid.n_points, size=k0, replace=False)
+    probes = np.zeros((op.n, trials))
+    for t in range(trials):
+        support = rng.choice(op.n, size=k0, replace=False)
         vals = rng.standard_normal(k0)
         if k0 > 1:
             vals -= vals.mean()
-        v[support] = vals
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            continue
-        ratio = _rip_ratio(dense, v)
-        lo, hi = min(lo, ratio), max(hi, ratio)
-
-    envelope = (
-        grid.fourier_scale
-        * np.sqrt(layout.distinct_visibilities)
-        / np.sqrt(grid.n_points)
-    )
-    return RipEstimate(
-        lower=lo,
-        upper=hi,
-        envelope=float(envelope),
-        visibilities=layout.distinct_visibilities,
-        trials=trials,
-    )
+        probes[support, t] = vals
+    return _rip_extremes(op, probes)
 
 
 def rip_pair_extremes(q: int, m: int, seed, n1: int = 32) -> RipEstimate:
     """Exact extremes over the exhaustive set of difference pairs
     ``e_j - e_k`` (all zero-mean 2-sparse sign patterns of that form)."""
-    s_layout, s_sketch = _spawn(seed, 2)
-    grid = make_grid(1, n1, 1.0)
-    layout = random_layout_1d(grid, q, s_layout)
-    sketches = draw_sketches(q, m, s_sketch)
-    dense = CombinedOperator(layout, sketches).as_matrix()
-
-    n = grid.n_points
-    lo, hi = math.inf, 0.0
-    count = 0
-    for j in range(n):
-        for k in range(j + 1, n):
-            v = np.zeros(n)
-            v[j], v[k] = 1.0, -1.0
-            ratio = _rip_ratio(dense, v)
-            lo, hi = min(lo, ratio), max(hi, ratio)
-            count += 1
-    envelope = (
-        grid.fourier_scale
-        * np.sqrt(layout.distinct_visibilities)
-        / np.sqrt(grid.n_points)
-    )
-    return RipEstimate(
-        lower=lo,
-        upper=hi,
-        envelope=float(envelope),
-        visibilities=layout.distinct_visibilities,
-        trials=count,
-    )
+    op, _ = _draw_operator(seed, q, m, n1)
+    j, k = np.triu_indices(op.n, 1)
+    identity = np.eye(op.n)
+    return _rip_extremes(op, identity[:, j] - identity[:, k])
 
 
 # ---------------------------------------------------------------------------

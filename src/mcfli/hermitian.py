@@ -4,24 +4,29 @@ from __future__ import annotations
 
 import numpy as np
 
+# largest relative asymmetry ||H - H^*||_F / ||H||_F the constructor accepts
+ASYMMETRY_RTOL = 1e-8
+# singular values below this share of the largest do not count towards the rank
+RANK_RTOL = 1e-8
+
 
 class HermitianMatrix:
     """Square complex Hermitian matrix.
 
     The constructor symmetrizes its input (``(H + H^*) / 2``) after checking
-    that the asymmetry is below ``asym_tol`` relative to the Frobenius norm,
-    so the stored array satisfies ``H[k, j] == conj(H[j, k])`` exactly.
+    that the asymmetry is below ``ASYMMETRY_RTOL`` relative to the Frobenius
+    norm, so the stored array satisfies ``H[k, j] == conj(H[j, k])`` exactly.
     """
 
     __slots__ = ("data",)
 
-    def __init__(self, data: np.ndarray, asym_tol: float = 1e-8):
+    def __init__(self, data: np.ndarray):
         data = np.asarray(data, dtype=np.complex128)
         if data.ndim != 2 or data.shape[0] != data.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {data.shape}")
         scale = np.linalg.norm(data)
         asym = np.linalg.norm(data - data.conj().T)
-        if scale > 0 and asym > asym_tol * scale:
+        if scale > 0 and asym > ASYMMETRY_RTOL * scale:
             raise ValueError(
                 f"matrix is not Hermitian: relative asymmetry {asym / scale:.2e}"
             )
@@ -50,11 +55,11 @@ class HermitianMatrix:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.data)
 
-    def numerical_rank(self, rel_tol: float = 1e-8) -> int:
+    def numerical_rank(self) -> int:
         s = np.linalg.svd(self.data, compute_uv=False)
         if s[0] == 0:
             return 0
-        return int(np.count_nonzero(s > rel_tol * s[0]))
+        return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
     def __array__(self, dtype=None):
         return self.data if dtype is None else self.data.astype(dtype)

@@ -19,6 +19,9 @@ import numpy as np
 from .grid import Grid
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
+# the Fermat spiral's diameter as a share of the grid's aliasing-free
+# aperture (n1 core pitches)
+SPIRAL_APERTURE_SHARE = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,16 +172,14 @@ def random_layout_1d(grid: Grid, q: int, seed) -> CoreLayout:
     return _build_layout(grid, positions, kind="random-1d")
 
 
-def fermat_spiral_layout(
-    grid: Grid, q: int, diameter: float | None = None
-) -> CoreLayout:
+def fermat_spiral_layout(grid: Grid, q: int) -> CoreLayout:
     """Arrange ``q`` cores on a golden-angle spiral in the distal plane.
 
     The radius grows as the square root of the core index and the azimuth
     steps by the golden angle, which spreads the pairwise differences and
     keeps off-diagonal visibilities (nearly) all distinct.  The scaling
-    constants are not canonical, so the spiral ``diameter`` is exposed; the
-    default spans half the aliasing-free aperture of the grid.  Whether all
+    constants are not canonical; the spiral spans ``SPIRAL_APERTURE_SHARE``
+    (half) of the aliasing-free aperture of the grid.  Whether all
     off-diagonal gridded visibilities are actually unique at this grid
     resolution is reported by ``CoreLayout.is_distinct``.
     """
@@ -186,8 +187,7 @@ def fermat_spiral_layout(
         raise ValueError("fermat_spiral_layout requires a 2-D grid")
     if q < 1:
         raise ValueError(f"need at least 1 core, got {q}")
-    if diameter is None:
-        diameter = 0.5 * grid.n1 * grid.core_pitch
+    diameter = SPIRAL_APERTURE_SHARE * grid.n1 * grid.core_pitch
     idx = np.arange(q, dtype=np.float64)
     radius = 0.5 * diameter * np.sqrt(idx / max(q - 1, 1))
     angle = idx * GOLDEN_ANGLE

@@ -8,6 +8,9 @@ import numpy as np
 
 from .grid import Grid
 
+# standard deviation of the Gaussian vignette, as a share of the field of view
+VIGNETTE_REL_WIDTH = 0.3
+
 
 @dataclass(frozen=True, eq=False)
 class SceneImage:
@@ -65,25 +68,23 @@ def sparse_scene(grid: Grid, k: int, seed, zero_mean: bool = True) -> SceneImage
     )
 
 
-def delta_scene(grid: Grid, flat_index: int | None = None, amplitude: float = 1.0) -> SceneImage:
-    """Single spike; defaults to the grid origin (center pixel)."""
-    if flat_index is None:
-        center = (grid.n1 // 2,) * grid.dim
-        flat_index = int(np.ravel_multi_index(center, grid.shape))
+def delta_scene(grid: Grid, amplitude: float = 1.0) -> SceneImage:
+    """Single spike at the grid origin (center pixel)."""
+    center = (grid.n1 // 2,) * grid.dim
+    flat_index = int(np.ravel_multi_index(center, grid.shape))
     values = np.zeros(grid.n_points)
     values[flat_index] = amplitude
     return SceneImage(grid=grid, values=values.reshape(grid.shape), sparsity=1,
                       support=np.array([flat_index], dtype=np.int64))
 
 
-def spikes_scene(grid: Grid, k: int, seed, nonnegative: bool = False) -> SceneImage:
-    """K random spikes with amplitudes bounded away from zero."""
+def spikes_scene(grid: Grid, k: int, seed) -> SceneImage:
+    """K random spikes with random signs and magnitudes bounded away from zero."""
     rng = np.random.default_rng(seed)
     values = np.zeros(grid.n_points)
     support = rng.choice(grid.n_points, size=k, replace=False)
     amps = rng.uniform(0.5, 1.5, size=k)
-    if not nonnegative:
-        amps *= rng.choice([-1.0, 1.0], size=k)
+    amps *= rng.choice([-1.0, 1.0], size=k)
     values[support] = amps
     return SceneImage(grid=grid, values=values.reshape(grid.shape), sparsity=k,
                       support=np.sort(support.astype(np.int64)))
@@ -129,10 +130,10 @@ def bar_target_scene(grid: Grid, amplitude: float = 1.0) -> SceneImage:
     return SceneImage(grid=grid, values=values)
 
 
-def gaussian_vignette(grid: Grid, rel_width: float = 0.3) -> np.ndarray:
+def gaussian_vignette(grid: Grid) -> np.ndarray:
     """Smooth window with unit peak, ~zero on the field-of-view frontier."""
     ax = grid.axis_coords()
-    sigma = rel_width * grid.fov
+    sigma = VIGNETTE_REL_WIDTH * grid.fov
     w1 = np.exp(-0.5 * (ax / sigma) ** 2)
     if grid.dim == 1:
         return w1

@@ -16,10 +16,13 @@ them, and :class:`VisibilityOperator` applies the map through it, with fewer
 columns than pixels whenever bins are left unoccupied.
 
 Illumination has one model: a :class:`WavefieldSet` of per-core fields,
-whose speckle for a sketch ``alpha`` is ``|sum_q alpha_q E_q|^2``.  The
-far-field plane waves at the cores' own frequencies are the set
-:func:`plane_wave_fields` builds; the speckle and speckle-illumination modes
-read it, and the calibration perturbs and recovers it.
+whose speckle for a sketch ``alpha`` is ``|sum_q alpha_q E_q|^2``.  The set
+owns the measurement model of its fields: ``sensing_matrix`` gives the raw
+single-pixel rows (the speckles times the pixel volume), and
+``interferometric_matrix`` the cross-core overlaps whose rank-one projections
+are the same values.  The far-field plane waves at the cores' own frequencies
+are the set :func:`plane_wave_fields` builds, and their overlaps are the
+``direct`` oracle; the calibration perturbs and recovers the fields.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .hermitian import HermitianMatrix
 from .layout import CoreLayout
 from .scene import SceneImage
 from .sketch import SketchBatch
-from .solvers.linop import MatrixOperator
+from .solvers.linop import MatrixOperator, operator_norm
 
 # imaginary residue allowed when casting SROP outputs to real, relative to
 # the Frobenius norm of the projected matrix
@@ -87,10 +90,12 @@ def interferometric_matrix(
     """The Hermitian matrix whose ``(j, k)`` entry is the vignetted image's
     Fourier coefficient at the visibility of cores ``j`` and ``k``.
 
-    ``fft`` is :func:`image_to_matrix`; ``direct`` evaluates the Fourier sums
-    pixel by pixel through the steering vectors.  The two agree to machine
-    precision whenever the layout visibilities are on-grid; ``direct``
-    remains exact for off-grid layouts and serves as the oracle.
+    ``fft`` is :func:`image_to_matrix`; ``direct`` sums the image against the
+    plane waves pixel by pixel
+    (:meth:`WavefieldSet.interferometric_matrix` of :func:`plane_wave_fields`).
+    The two agree to machine precision whenever the layout visibilities are
+    on-grid; ``direct`` remains exact for off-grid layouts and serves as the
+    oracle.
     """
     _check_same_grid(scene, layout)
     values = scene.vignetted_values
@@ -98,17 +103,12 @@ def interferometric_matrix(
         return HermitianMatrix(image_to_matrix(layout, values))
     if path != "direct":
         raise ValueError(f"unknown path {path!r}")
-    grid = layout.grid
-    steer = np.exp(-2j * np.pi * (grid.points() @ layout.core_frequencies.T))  # (n, q)
-    weighted = steer.T * values.ravel()
-    return HermitianMatrix(grid.pixel_volume * (weighted @ steer.conj()))
+    return plane_wave_fields(layout).interferometric_matrix(values)
 
 
-def interferometric_rank(
-    scene: SceneImage, layout: CoreLayout, rel_tol: float = 1e-8
-) -> int:
+def interferometric_rank(scene: SceneImage, layout: CoreLayout) -> int:
     """Numerical rank of the interferometric matrix of a spike scene."""
-    return interferometric_matrix(scene, layout, path="direct").numerical_rank(rel_tol)
+    return interferometric_matrix(scene, layout, path="direct").numerical_rank()
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +363,9 @@ class VisibilityOperator:
         self.grid = op.grid
         self.coords = MatrixOperator(op.as_matrix(basis="visibilities"))
         self.m, self.n = op.m, op.n
+        # image_to_visibilities is a co-isometry, so ||C Phi|| = ||C||: the
+        # bound is certified on the D coordinates, with no FFT per step
+        self._norm_bound = operator_norm(self.coords)
 
     def forward(self, v: np.ndarray) -> np.ndarray:
         image = np.asarray(v, dtype=np.float64).reshape(self.grid.shape)
@@ -412,6 +415,29 @@ class WavefieldSet:
             out = np.where(self.mask, out, 0.0)
         return out
 
+    def sensing_matrix(self, sketches: SketchBatch) -> np.ndarray:
+        """Raw ``(m, n)`` measurement rows: row ``i`` is the speckle of
+        sketch ``i`` (:meth:`predict_speckle`) times the pixel volume, so its
+        product with a flat image gives the raw single-pixel values."""
+        if sketches.q != self.order:
+            raise ValueError(f"sketch length {sketches.q} != number of fields {self.order}")
+        speckles = self.predict_speckle(sketches.alphas).reshape(sketches.m, -1)
+        return self.grid.pixel_volume * speckles
+
+    def interferometric_matrix(self, values: np.ndarray) -> HermitianMatrix:
+        """The cross-core overlaps weighted by a grid-shaped image:
+        ``pixel_volume * sum_x conj(E_j(x)) f(x) E_k(x)``, over the masked
+        pixels only.  Its rank-one projection against a sketch is the
+        matching row of :meth:`sensing_matrix` times the image."""
+        values = np.asarray(values)
+        if values.shape != self.grid.shape:
+            raise ValueError(f"image shape {values.shape} != grid shape {self.grid.shape}")
+        if self.mask is not None:
+            values = np.where(self.mask, values, 0.0)
+        flat = self.fields.reshape(self.order, -1)
+        weighted = flat.conj() * values.ravel()
+        return HermitianMatrix(self.grid.pixel_volume * (weighted @ flat.T))
+
 
 def plane_wave_fields(layout: CoreLayout) -> WavefieldSet:
     """The far-field model: core ``q`` emits ``exp(+2i pi nu_q . x)`` at its
@@ -419,22 +445,6 @@ def plane_wave_fields(layout: CoreLayout) -> WavefieldSet:
     grid = layout.grid
     waves = np.exp(2j * np.pi * (grid.points() @ layout.core_frequencies.T))  # (n, q)
     return WavefieldSet(grid=grid, fields=waves.T.reshape(layout.order, *grid.shape))
-
-
-def speckle_field(
-    layout: CoreLayout,
-    alpha: np.ndarray,
-    vignette: np.ndarray | None = None,
-) -> np.ndarray:
-    """Grid-shaped illumination intensity produced by one sketching vector:
-    the plane-wave speckle under the vignetting window."""
-    alpha = np.asarray(alpha, dtype=np.complex128)
-    if alpha.shape != (layout.order,):
-        raise ValueError(f"sketch length {alpha.shape} != cores {layout.order}")
-    intensity = plane_wave_fields(layout).predict_speckle(alpha)
-    if vignette is not None:
-        intensity = vignette * intensity
-    return intensity
 
 
 def rs_steering(layout: CoreLayout, tilt: np.ndarray) -> np.ndarray:
@@ -459,30 +469,6 @@ def rs_scan(scene: SceneImage, layout: CoreLayout) -> np.ndarray:
     grid = layout.grid
     mat = interferometric_matrix(scene, layout)
     return matrix_to_image(layout, mat.data) * (np.sqrt(grid.n_points) / grid.fourier_scale)
-
-
-def si_measure(
-    scene: SceneImage,
-    layout: CoreLayout,
-    sketches: SketchBatch,
-    vignette: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Speckle-illumination observations ``y_m = <s_m, f>``.
-
-    Returns the measurements and the ``(n, m)`` matrix whose columns are the
-    plane-wave speckles (one batched :meth:`WavefieldSet.predict_speckle`)
-    under the vignette.  On on-grid scenes this coincides with projecting the
-    interferometric matrix of the vignetted image.
-    """
-    _check_same_grid(scene, layout)
-    if vignette is None:
-        vignette = scene.vignette
-    speckles = plane_wave_fields(layout).predict_speckle(sketches.alphas)
-    cols = speckles.reshape(sketches.m, -1).T
-    if vignette is not None:
-        cols *= vignette.reshape(-1, 1)
-    y = layout.grid.pixel_volume * (cols.T @ scene.values.ravel())
-    return y, cols
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,11 @@ def vignetted_snr(
     estimate: np.ndarray,
     truth: np.ndarray,
     vignette: np.ndarray | None = None,
-    cap_db: float = SNR_CAP_DB,
 ) -> float:
     """SNR in dB between the vignetted truth and the vignetted estimate.
 
     ``20 * log10(||w * f|| / ||w * (f - f_hat)||)``; an exact match returns
-    the cap sentinel.  Raises on an identically-zero (vignetted) truth.
+    the cap sentinel ``SNR_CAP_DB``.  Raises on an identically-zero (vignetted) truth.
     """
     estimate = np.asarray(estimate, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -30,5 +29,5 @@ def vignetted_snr(
         raise ValueError("ground truth is zero under the vignette")
     err = np.linalg.norm(truth - estimate)
     if err == 0:
-        return cap_db
-    return float(min(20.0 * np.log10(signal / err), cap_db))
+        return SNR_CAP_DB
+    return float(min(20.0 * np.log10(signal / err), SNR_CAP_DB))

@@ -9,9 +9,8 @@ from mcfli import (
     WavefieldSet,
     draw_sketches,
     explicit_layout,
+    debias,
     fermat_spiral_layout,
-    generalized_forward,
-    generalized_matrix,
     interferometric_matrix,
     make_grid,
     random_layout_1d,
@@ -95,8 +94,9 @@ def test_generalized_matrix_matches_interferometric(setup_2d):
     fields = synth_fields(layout)
     rng = np.random.default_rng(2)
     scene = SceneImage(grid=grid, values=rng.uniform(0, 1, grid.shape))
-    g_mat = generalized_matrix(fields, scene).data
-    i_mat = interferometric_matrix(scene, layout, path="direct").data
+    # the snapped layout is on-grid, so the FFT path is an independent oracle
+    g_mat = fields.interferometric_matrix(scene.values).data
+    i_mat = interferometric_matrix(scene, layout).data
     assert np.linalg.norm(g_mat - i_mat) <= 1e-10 * np.linalg.norm(i_mat)
 
 
@@ -105,7 +105,7 @@ def test_generalized_matrix_hermitian_psd(setup_2d):
     fields = synth_fields(layout, perturbation=("amplitude-ripple", 0.1), seed=3)
     rng = np.random.default_rng(4)
     scene = SceneImage(grid=grid, values=rng.uniform(0, 1, grid.shape))
-    g_mat = generalized_matrix(fields, scene)
+    g_mat = fields.interferometric_matrix(scene.values)
     w = g_mat.eigenvalues()
     assert w.min() >= -1e-10 * np.abs(w).max()
 
@@ -116,7 +116,7 @@ def test_amplitude_ripple_bounded_model_deviation(setup_2d):
     scene = SceneImage(grid=grid, values=rng.uniform(0, 1, grid.shape))
     i_mat = interferometric_matrix(scene, layout, path="direct").data
     fields = synth_fields(layout, perturbation=("amplitude-ripple", 0.05), seed=6)
-    g_mat = generalized_matrix(fields, scene).data
+    g_mat = fields.interferometric_matrix(scene.values).data
     rel = np.linalg.norm(g_mat - i_mat) / np.linalg.norm(i_mat)
     assert rel <= 0.15
 
@@ -135,7 +135,7 @@ def test_generalized_forward_matches_combined(setup_2d):
     fields = synth_fields(layout)
     sk = draw_sketches(6, 8, seed=8)
     scene = sparse_scene(grid, 5, seed=9, zero_mean=False)
-    z = generalized_forward(fields, sk, scene)
+    z = debias(fields.sensing_matrix(sk) @ scene.values.ravel())
     op = CombinedOperator(layout, sk)
     y = op.forward(scene.values)
     assert np.linalg.norm(z - y) <= 1e-6 * max(np.linalg.norm(y), 1e-300)
@@ -146,7 +146,38 @@ def test_generalized_forward_zero_scene(setup_2d):
     fields = synth_fields(layout)
     sk = draw_sketches(6, 4, seed=10)
     scene = SceneImage(grid=grid, values=np.zeros(grid.shape))
-    assert np.all(generalized_forward(fields, sk, scene) == 0)
+    assert np.all(debias(fields.sensing_matrix(sk) @ scene.values.ravel()) == 0)
+
+
+@pytest.mark.parametrize(
+    "case", ["amplitude-ripple", "phase-aberration", "recovered", "masked"]
+)
+def test_sensing_rows_are_projections_of_the_overlaps(setup_2d, case):
+    # through any fields, each raw value is the rank-one projection of the
+    # image-weighted overlap matrix
+    grid, layout = setup_2d
+    kind = "amplitude-ripple" if case == "amplitude-ripple" else "phase-aberration"
+    fields = synth_fields(layout, perturbation=(kind, 0.5), seed=13)
+    if case == "recovered":
+        fields = recover_fields(render_fringes(fields, noise_sigma=0.01, seed=14))
+    elif case == "masked":
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[: grid.n1 // 2] = True
+        fields = replace(fields, mask=mask)
+    sk = draw_sketches(6, 9, seed=15)
+    f = np.random.default_rng(16).uniform(0, 1, grid.shape)
+    y = fields.sensing_matrix(sk) @ f.ravel()
+    y_srop = srop_forward(fields.interferometric_matrix(f).data, sk)
+    assert np.linalg.norm(y - y_srop) <= 1e-10 * np.linalg.norm(y_srop)
+
+
+def test_sensing_model_checks_its_inputs(setup_2d):
+    grid, layout = setup_2d
+    fields = synth_fields(layout)
+    with pytest.raises(ValueError):
+        fields.sensing_matrix(draw_sketches(5, 3, seed=0))
+    with pytest.raises(ValueError):
+        fields.interferometric_matrix(np.zeros(grid.n_points))
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +291,8 @@ def test_forward_predictions_invariant_to_reference_phase():
     recovered = recover_fields(render_fringes(fields))
     sk = draw_sketches(5, 6, seed=7)
     scene = sparse_scene(grid, 4, seed=8, zero_mean=False)
-    z_true = generalized_forward(fields, sk, scene)
-    z_rec = generalized_forward(recovered, sk, scene)
+    z_true = debias(fields.sensing_matrix(sk) @ scene.values.ravel())
+    z_rec = debias(recovered.sensing_matrix(sk) @ scene.values.ravel())
     assert np.allclose(z_rec, z_true, atol=1e-9 * max(np.abs(z_true).max(), 1e-300))
 
 

@@ -1,5 +1,10 @@
+import argparse
 import json
+from types import SimpleNamespace
 
+import pytest
+
+from mcfli import cli
 from mcfli.cli import main
 
 
@@ -57,3 +62,51 @@ def test_demo_command(tmp_path, capsys):
     assert (tmp_path / "truth.pgm").exists()
     out = capsys.readouterr().out
     assert "rs_mode" in out
+
+
+def _recording_namespace():
+    """A namespace, and the set of attribute names read from it."""
+    reads = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    return Recorder(), reads
+
+
+def _stub_harness(monkeypatch):
+    trial = SimpleNamespace(snr_db=0.0, success=False, visibilities=0, iterations=0)
+    rip = SimpleNamespace(lower=0.0, upper=0.0, envelope=0.0, upper_ratio=0.0,
+                          visibilities=0, trials=0)
+    stubs = {
+        "run_trial": trial,
+        "run_sweep": SimpleNamespace(to_csv=lambda: ""),
+        "estimate_rip_constants": rip,
+        "run_imaging_demo": SimpleNamespace(entries=[], rs_snr_db=None),
+        "run_calibration_roundtrip": {},
+    }
+    for name, value in stubs.items():
+        monkeypatch.setattr(cli, name, lambda *a, _value=value, **k: _value)
+
+
+@pytest.mark.parametrize("command", ["trial", "sweep", "rip", "demo", "calibrate"])
+def test_every_flag_is_read(command, tmp_path, monkeypatch, capsys):
+    # a flag no subcommand reads would be accepted and silently ignored
+    _stub_harness(monkeypatch)
+    cfg = tmp_path / "solver.json"
+    cfg.write_text('{"max_iterations": 5}')
+    argv = {
+        "trial": ["--k", "1", "--q", "4", "--m", "8", "--config", str(cfg)],
+        "sweep": ["--q", "4", "--out", str(tmp_path / "s.csv")],
+        "rip": ["--out", str(tmp_path / "rip.json")],
+        "demo": ["--out", str(tmp_path), "--config", str(cfg)],
+        "calibrate": ["--perturbation", "phase-aberration", "--out", str(tmp_path)],
+    }[command]
+    args, reads = _recording_namespace()
+    cli.build_parser().parse_args([command, *argv], namespace=args)
+    reads.clear()
+    assert args.func(args) == 0
+    unread = set(vars(args)) - {"command", "func"} - reads
+    assert not unread, f"{command} parses flags it never reads: {sorted(unread)}"

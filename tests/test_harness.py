@@ -185,6 +185,8 @@ def test_transition_midpoint_interpolation():
 def test_rip_requires_enough_probes():
     with pytest.raises(ValueError):
         estimate_rip_constants(2, 8, 20, trials=10, seed=0)
+    with pytest.raises(ValueError):
+        estimate_rip_constants(0, 8, 20, trials=100, seed=0)
 
 
 def test_rip_lower_positive_in_recovery_regime():

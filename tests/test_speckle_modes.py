@@ -12,10 +12,9 @@ from mcfli import (
     make_grid,
     random_layout_1d,
     rs_measure,
+    plane_wave_fields,
     rs_scan,
-    si_measure,
     sparse_scene,
-    speckle_field,
     zeros_scene,
 )
 from mcfli.sensing import rs_steering, srop_forward
@@ -31,14 +30,14 @@ def test_single_core_field_is_flat():
     g = make_grid(2, 16, 1.0)
     lay = fermat_spiral_layout(g, 1)
     w = gaussian_vignette(g)
-    field = speckle_field(lay, np.array([1.0 + 0j]), vignette=w)
+    field = plane_wave_fields(lay).predict_speckle(np.array([1.0 + 0j])) * w
     assert np.allclose(field, w, atol=1e-12)
 
 
 def test_beamformed_peak_at_origin():
     g = make_grid(2, 32, 1.0)
     lay = fermat_spiral_layout(g, 11)
-    field = speckle_field(lay, np.ones(11, complex))
+    field = plane_wave_fields(lay).predict_speckle(np.ones(11, complex))
     center = (g.n1 // 2, g.n1 // 2)
     assert field[center] == pytest.approx(11.0**2, rel=1e-12)
     assert np.unravel_index(np.argmax(field), field.shape) == center
@@ -49,7 +48,7 @@ def test_speckle_nonnegative():
     lay = fermat_spiral_layout(g, 7)
     sk = draw_sketches(7, 3, seed=0)
     for alpha in sk.alphas:
-        field = speckle_field(lay, alpha)
+        field = plane_wave_fields(lay).predict_speckle(alpha)
         assert field.min() >= 0
 
 
@@ -63,7 +62,7 @@ def test_speckle_projection_consistency():
     mat = interferometric_matrix(scene, lay)
     y_srop = srop_forward(mat.data, sk)
     for idx, alpha in enumerate(sk.alphas):
-        field = speckle_field(lay, alpha)
+        field = plane_wave_fields(lay).predict_speckle(alpha)
         y_field = g.pixel_volume * np.sum(field * scene.values)
         assert y_field == pytest.approx(y_srop[idx], rel=1e-8)
 
@@ -80,7 +79,7 @@ def test_rs_at_origin_on_delta_scene():
     scene = delta_scene(g, amplitude=amp)
     val = rs_measure(scene, lay, 0.0)
     # direct beam-pattern evaluation at the spike
-    field = speckle_field(lay, np.ones(7, complex))
+    field = plane_wave_fields(lay).predict_speckle(np.ones(7, complex))
     expect = g.pixel_volume * amp * field[g.n1 // 2]
     assert val == pytest.approx(expect, rel=1e-10)
     assert val == pytest.approx(g.pixel_volume * amp * 7**2, rel=1e-10)
@@ -92,7 +91,7 @@ def test_rs_scan_of_delta_is_psf():
     amp = 1.5
     scene = delta_scene(g, amplitude=amp)
     scan = rs_scan(scene, lay)
-    psf = speckle_field(lay, np.ones(6, complex))
+    psf = plane_wave_fields(lay).predict_speckle(np.ones(6, complex))
     assert np.allclose(scan, g.pixel_volume * amp * psf, atol=1e-8 * psf.max())
 
 
@@ -132,9 +131,10 @@ def test_si_zero_scene():
     g = make_grid(1, 64, 1.0)
     lay = random_layout_1d(g, 5, seed=1)
     sk = draw_sketches(5, 8, seed=2)
-    y, cols = si_measure(zeros_scene(g), lay, sk)
+    rows = plane_wave_fields(lay).sensing_matrix(sk)
+    y = rows @ zeros_scene(g).values.ravel()
     assert np.all(y == 0)
-    assert cols.shape == (64, 8)
+    assert rows.shape == (8, 64)
 
 
 def test_si_matches_srop_path():
@@ -142,7 +142,7 @@ def test_si_matches_srop_path():
     lay = random_layout_1d(g, 7, seed=3)
     sk = draw_sketches(7, 8, seed=4)
     scene = sparse_scene(g, 4, seed=5, zero_mean=False)
-    y, _ = si_measure(scene, lay, sk)
+    y = plane_wave_fields(lay).sensing_matrix(sk) @ scene.values.ravel()
     mat = interferometric_matrix(scene, lay)
     y_srop = srop_forward(mat.data, sk)
     assert np.allclose(y, y_srop, rtol=1e-8, atol=1e-12)
@@ -156,7 +156,7 @@ def test_si_debiasing_matrix_identity():
     lay = random_layout_1d(g, 6, seed=6)
     sk = draw_sketches(6, 10, seed=7)
     scene = sparse_scene(g, 4, seed=8)
-    y, cols = si_measure(scene, lay, sk)
+    y = plane_wave_fields(lay).sensing_matrix(sk) @ scene.values.ravel()
     m = sk.m
     d = np.eye(m) - np.ones((m, m)) / m
     assert np.allclose(debias(y), d @ y, atol=1e-14 * max(1.0, np.abs(y).max()))
@@ -168,7 +168,7 @@ def test_si_on_snapped_2d_spiral():
     sk = draw_sketches(6, 5, seed=9)
     rng = np.random.default_rng(10)
     scene = SceneImage(grid=g, values=rng.uniform(0, 1, g.shape))
-    y, _ = si_measure(scene, lay, sk)
+    y = plane_wave_fields(lay).sensing_matrix(sk) @ scene.values.ravel()
     mat = interferometric_matrix(scene, lay)
     assert np.allclose(y, srop_forward(mat.data, sk), rtol=1e-8)
 
@@ -180,10 +180,12 @@ def test_si_columns_are_vignetted_speckles():
     w = gaussian_vignette(g)
     rng = np.random.default_rng(12)
     scene = SceneImage(grid=g, values=rng.uniform(0, 1, g.shape))
-    y, cols = si_measure(scene, lay, sk, vignette=w)
-    assert cols.shape == (g.n_points, sk.m)
+    fields = plane_wave_fields(lay)
+    rows = fields.sensing_matrix(sk) * w.ravel()
+    y = rows @ scene.values.ravel()
+    assert rows.shape == (sk.m, g.n_points)
     for idx, alpha in enumerate(sk.alphas):
-        speckle = speckle_field(lay, alpha, vignette=w).ravel()
-        assert np.allclose(cols[:, idx], speckle, rtol=1e-12, atol=0)
+        speckle = (fields.predict_speckle(alpha) * w).ravel()
+        assert np.allclose(rows[idx], g.pixel_volume * speckle, rtol=1e-12, atol=0)
         expect = g.pixel_volume * speckle @ scene.values.ravel()
         assert y[idx] == pytest.approx(expect, rel=1e-12)
