@@ -32,22 +32,17 @@ from .scene import (
 )
 from .sensing import (
     CombinedOperator,
-    MeasurementRecord,
-    NoiseModel,
     SropOperator,
     WavefieldSet,
-    add_noise,
     debias,
     interferometric_matrix,
     interferometric_rank,
-    measure,
     plane_wave_fields,
     rs_measure,
     rs_scan,
-    srop_centered_forward,
     srop_forward,
 )
-from .sketch import SketchBatch, draw_sketches, sketches_from_alphas
+from .sketch import SketchBatch, draw_sketches
 from .solvers import (
     RecoveryResult,
     SolverConfig,
@@ -73,7 +68,6 @@ __all__ = [
     "downsample_layout",
     "SketchBatch",
     "draw_sketches",
-    "sketches_from_alphas",
     "SceneImage",
     "sparse_scene",
     "spikes_scene",
@@ -86,17 +80,12 @@ __all__ = [
     "random_hermitian",
     "SropOperator",
     "CombinedOperator",
-    "MeasurementRecord",
-    "NoiseModel",
     "interferometric_matrix",
     "interferometric_rank",
     "srop_forward",
-    "srop_centered_forward",
     "debias",
     "rs_measure",
     "rs_scan",
-    "add_noise",
-    "measure",
     "WavefieldSet",
     "plane_wave_fields",
     "FringeStack",

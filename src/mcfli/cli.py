@@ -12,7 +12,7 @@ Every subcommand takes ``--seed <u64>``.  ``--out <path>`` is taken by
 ``sweep``, ``rip``, ``demo`` and ``calibrate``; ``--config <json>`` by
 ``trial`` and ``demo`` (a solver config) and ``sweep`` (a sweep spec); and
 ``--threads <n>`` by ``sweep`` alone.  Each subcommand declares only the
-flags it reads.
+flags it reads, and ``sweep --config`` refuses the flags that set the spec.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from .harness import (
+    SOLVERS,
     SweepSpec,
     estimate_rip_constants,
     run_calibration_roundtrip,
@@ -39,6 +41,23 @@ _SHARED_FLAGS = {
     "--threads": dict(type=int, default=1, help="worker processes"),
     "--config": dict(type=str, default=None, help="JSON config file"),
 }
+
+
+# the sweep flags that set a SweepSpec field (dest -> field); a spec from
+# --config sets them all, so none may be given beside it
+_SPEC_FLAGS = {
+    "k": "k_values",
+    "m": "m_values",
+    "q": "q_values",
+    "vis": "vis_targets",
+    "n1": "n1",
+    "trials": "trials",
+    "threshold": "threshold_db",
+    "solver": "solver",
+}
+# CLI defaults of the two fields SweepSpec requires; the other flags left
+# out take SweepSpec's defaults
+_SWEEP_DEFAULTS = {"k_values": [4], "m_values": [44]}
 
 
 def _add_shared(parser, *flags):
@@ -64,25 +83,22 @@ def _cmd_trial(args):
     return 0
 
 
-def _cmd_sweep(args):
+def _cmd_sweep(args, parser):
+    given = [dest for dest in _SPEC_FLAGS if dest in args]
     if args.config:
+        if given:
+            parser.error(
+                "--config sets the sweep spec; drop " + ", ".join(f"--{d}" for d in given)
+            )
         data = _load_json(args.config)
         data.setdefault("master_seed", args.seed)
         if args.out:
             data["out_path"] = args.out
         spec = SweepSpec(**data)
     else:
+        fields = {_SPEC_FLAGS[dest]: getattr(args, dest) for dest in given}
         spec = SweepSpec(
-            k_values=args.k,
-            m_values=args.m,
-            q_values=args.q or [],
-            vis_targets=args.vis or [],
-            trials=args.trials,
-            threshold_db=args.threshold,
-            master_seed=args.seed,
-            solver=args.solver,
-            n1=args.n1,
-            out_path=args.out,
+            **{**_SWEEP_DEFAULTS, **fields}, master_seed=args.seed, out_path=args.out
         )
     result = run_sweep(spec, threads=args.threads)
     if not spec.out_path:
@@ -162,23 +178,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n1", type=int, default=256)
-    p.add_argument("--solver", choices=("lasso", "bpdn"), default="lasso")
+    p.add_argument("--solver", choices=SOLVERS, default="lasso")
     p.add_argument("--threshold", type=float, default=40.0)
     _add_shared(p, "--seed", "--config")
     p.set_defaults(func=_cmd_trial)
 
     p = sub.add_parser("sweep", help="phase-transition sweep")
-    p.add_argument("--k", type=int, nargs="+", default=[4])
-    p.add_argument("--m", type=int, nargs="+", default=[44])
-    p.add_argument("--q", type=int, nargs="+", default=None)
-    p.add_argument("--vis", type=int, nargs="+", default=None,
-                   help="target distinct-visibility counts (instead of --q)")
-    p.add_argument("--n1", type=int, default=256)
-    p.add_argument("--trials", type=int, default=80)
-    p.add_argument("--threshold", type=float, default=40.0)
-    p.add_argument("--solver", choices=("lasso", "bpdn"), default="lasso")
+    spec = p.add_argument_group(
+        "sweep spec", "not with --config", argument_default=argparse.SUPPRESS
+    )
+    spec.add_argument("--k", type=int, nargs="+", help="sparsity levels (default: 4)")
+    spec.add_argument("--m", type=int, nargs="+", help="measurement counts (default: 44)")
+    spec.add_argument("--q", type=int, nargs="+", help="core counts")
+    spec.add_argument("--vis", type=int, nargs="+",
+                      help="target distinct-visibility counts (instead of --q)")
+    spec.add_argument("--n1", type=int, help="grid size (default: 256)")
+    spec.add_argument("--trials", type=int, help="trials per cell (default: 80)")
+    spec.add_argument("--threshold", type=float, help="success SNR in dB (default: 40)")
+    spec.add_argument("--solver", choices=SOLVERS, help="recovery program (default: lasso)")
     _add_shared(p, "--seed", "--out", "--threads", "--config")
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=partial(_cmd_sweep, parser=p))
 
     p = sub.add_parser("rip", help="empirical restricted-isometry constants")
     p.add_argument("--k", type=int, default=4)

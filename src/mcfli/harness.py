@@ -36,6 +36,8 @@ from .solvers.metrics import SNR_CAP_DB
 DEFAULT_N1 = 256
 DEFAULT_THRESHOLD_DB = 40.0
 DEFAULT_TRIALS = 80
+# the recovery programs a trial can run, in the order the CLI offers them
+SOLVERS = ("lasso", "bpdn")
 
 
 def _child_seed(master: int, *parts: int) -> np.random.SeedSequence:
@@ -99,6 +101,8 @@ def run_trial(
         raise ValueError(f"k={k} exceeds the grid size {n1}")
     if q < 2:
         raise ValueError("need at least two cores")
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}")
     op, s_scene = _draw_operator(seed, q, m, n1)
     scene = sparse_scene(op.grid, k, s_scene, zero_mean=True)
     y = op.forward(scene.values)
@@ -107,10 +111,8 @@ def run_trial(
 
     if solver == "lasso":
         result = solve_lasso(dense, y, float(np.abs(truth).sum()), config)
-    elif solver == "bpdn":
-        result = solve_bpdn_l1(dense, y, 0.0, config)
     else:
-        raise ValueError(f"unknown solver {solver!r}")
+        result = solve_bpdn_l1(dense, y, 0.0, config)
 
     if np.linalg.norm(truth) == 0:
         snr = SNR_CAP_DB if np.linalg.norm(result.estimate) == 0 else 0.0
@@ -152,6 +154,8 @@ class SweepSpec:
             raise ValueError("trials must be >= 1")
         if self.threshold_db <= 0:
             raise ValueError("threshold must be positive")
+        if self.solver not in SOLVERS:
+            raise ValueError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
 
 
 @dataclass

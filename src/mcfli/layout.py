@@ -6,7 +6,9 @@ pair ``(j, k)`` of cores probes the object spectrum at the visibility
 visibilities are snapped to the nearest frequency-grid bin when building the
 index map, and the snap residual is recorded per pair so that departures from
 the on-grid assumption stay measurable.  Duplicate off-diagonal bins are
-allowed and counted rather than rejected.
+allowed and counted rather than rejected.  A layout is its grid and positions
+with the bookkeeping derived from them; which constructor drew the positions
+is not recorded.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ class CoreLayout:
     positions: np.ndarray  # (q, dim) distal-plane coordinates
     bin_map: np.ndarray  # (q, q) flat frequency-bin index; diagonal -> bin 0
     snap_residuals: np.ndarray  # (q, q) max per-axis |rounding residual|, bin units
-    kind: str = "explicit"
 
     def __post_init__(self):
         for arr in (self.positions, self.bin_map, self.snap_residuals):
@@ -126,7 +127,7 @@ class CoreLayout:
         return out.reshape(batch + (n,))
 
 
-def _build_layout(grid: Grid, positions: np.ndarray, kind: str) -> CoreLayout:
+def _build_layout(grid: Grid, positions: np.ndarray) -> CoreLayout:
     positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
     if positions.shape[1] != grid.dim:
         raise ValueError(
@@ -142,13 +143,12 @@ def _build_layout(grid: Grid, positions: np.ndarray, kind: str) -> CoreLayout:
         positions=positions,
         bin_map=np.ascontiguousarray(bin_map.astype(np.int64)),
         snap_residuals=residual,
-        kind=kind,
     )
 
 
 def explicit_layout(grid: Grid, positions: np.ndarray) -> CoreLayout:
     """Layout from user-provided positions (length units, distal plane)."""
-    return _build_layout(grid, positions, kind="explicit")
+    return _build_layout(grid, positions)
 
 
 def random_layout_1d(grid: Grid, q: int, seed) -> CoreLayout:
@@ -169,7 +169,7 @@ def random_layout_1d(grid: Grid, q: int, seed) -> CoreLayout:
     rng = np.random.default_rng(seed)
     slots = rng.choice(n_slots, size=q, replace=False) - grid.n1 // 2
     positions = slots[:, None] * grid.core_pitch
-    return _build_layout(grid, positions, kind="random-1d")
+    return _build_layout(grid, positions)
 
 
 def fermat_spiral_layout(grid: Grid, q: int) -> CoreLayout:
@@ -194,9 +194,9 @@ def fermat_spiral_layout(grid: Grid, q: int) -> CoreLayout:
     positions = np.stack(
         [radius * np.cos(angle), radius * np.sin(angle)], axis=1
     )
-    return _build_layout(grid, positions, kind="fermat-spiral")
+    return _build_layout(grid, positions)
 
 
 def downsample_layout(layout: CoreLayout, step: int) -> CoreLayout:
     """Keep every ``step``-th core (used to thin a spiral, e.g. 110 -> 55)."""
-    return _build_layout(layout.grid, layout.positions[::step], kind=layout.kind)
+    return _build_layout(layout.grid, layout.positions[::step])

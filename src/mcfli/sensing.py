@@ -2,7 +2,10 @@
 
 The chain factors as: vignetted image -> interferometric matrix (one Fourier
 coefficient per core pair) -> symmetric rank-one projections against the
-sketching vectors -> mean-subtraction (debiasing).  The first map is written
+sketching vectors -> mean-subtraction (debiasing).  The data is that one map,
+:meth:`CombinedOperator.forward`, which equals
+``debias(srop_forward(interferometric_matrix(...).data, sketches))``; a
+caller that wants noise adds it to the output.  The first map is written
 once, as :func:`image_to_matrix` (one FFT, then a gather of the visibility
 bins) with its exact adjoint :func:`matrix_to_image` (scatter, then one
 inverse FFT); the fused operator, its dense matrix and the raster scan all
@@ -234,22 +237,6 @@ def debias(y: np.ndarray) -> np.ndarray:
     return y - y.mean()
 
 
-def srop_centered_forward(matrix, sketches: SketchBatch) -> np.ndarray:
-    """Centered projections computed entry-wise from the centered sketch
-    matrices (the slow, explicit path; coincides with ``debias(srop_forward)``).
-    """
-    h = np.asarray(matrix, dtype=np.complex128)
-    alphas = sketches.alphas
-    avg = (alphas.T @ alphas.conj()) / sketches.m  # mean of the outer products
-    out = np.empty(sketches.m)
-    for m_idx in range(sketches.m):
-        a = alphas[m_idx]
-        centered = np.outer(a, a.conj()) - avg
-        val = np.sum(centered.conj() * h)
-        out[m_idx] = val.real
-    return out
-
-
 # ---------------------------------------------------------------------------
 # fused image-to-measurement operator
 # ---------------------------------------------------------------------------
@@ -469,68 +456,3 @@ def rs_scan(scene: SceneImage, layout: CoreLayout) -> np.ndarray:
     grid = layout.grid
     mat = interferometric_matrix(scene, layout)
     return matrix_to_image(layout, mat.data) * (np.sqrt(grid.n_points) / grid.fourier_scale)
-
-
-# ---------------------------------------------------------------------------
-# noise
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    kind: str  # "none" | "gaussian" | "uniform"
-    scale: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "gaussian", "uniform"):
-            raise ValueError(f"unknown noise model {self.kind!r}")
-
-
-def add_noise(y: np.ndarray, model: NoiseModel, seed) -> tuple[np.ndarray, float]:
-    """Add zero-mean noise; returns the noisy vector and the realized l1 budget."""
-    y = np.asarray(y, dtype=np.float64)
-    if model.kind == "none":
-        return y.copy(), 0.0
-    rng = np.random.default_rng(seed)
-    if model.kind == "gaussian":
-        n = rng.normal(0.0, model.scale, size=y.shape)
-    else:
-        n = rng.uniform(-model.scale, model.scale, size=y.shape)
-    return y + n, float(np.abs(n).sum())
-
-
-@dataclass(frozen=True, eq=False)
-class MeasurementRecord:
-    raw: np.ndarray
-    debiased: np.ndarray
-    noise: NoiseModel
-    epsilon: float
-    mode: str
-    seed: int | None
-
-    def __post_init__(self):
-        if self.raw.shape != self.debiased.shape:
-            raise ValueError("raw and debiased vectors must have equal length")
-        self.raw.setflags(write=False)
-        self.debiased.setflags(write=False)
-
-
-def measure(
-    scene: SceneImage,
-    layout: CoreLayout,
-    sketches: SketchBatch,
-    noise: NoiseModel = NoiseModel("none"),
-    seed=None,
-) -> MeasurementRecord:
-    """Run the full acquisition: project, add noise, debias, record."""
-    mat = interferometric_matrix(scene, layout)
-    y = srop_forward(mat.data, sketches)
-    noisy, eps = add_noise(y, noise, seed)
-    return MeasurementRecord(
-        raw=noisy,
-        debiased=debias(noisy),
-        noise=noise,
-        epsilon=eps,
-        mode="srop",
-        seed=seed,
-    )

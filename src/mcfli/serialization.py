@@ -1,16 +1,12 @@
 """JSON and binary interchange formats.
 
-JSON schema (all complex numbers are ``[re, im]`` pairs, positions are arrays
-of floats):
+JSON schema:
 
 * grid:    ``{"dim", "n1", "fov", "wavelength", "depth"}``
-* layout:  ``{"grid", "kind", "positions": [[x, y], ...]}``
-* sketches: ``{"seed", "quant_bits", "phases": [[...]],
-  "alphas": [[[re, im], ...], ...]}`` (phases are authoritative on load)
 * scene:   ``{"grid", "values": [...], "vignette": [...] | null,
   "sparsity", "support"}``
-* measurement record: ``{"raw": [...], "debiased": [...],
-  "noise": {"kind", "scale"}, "epsilon", "mode", "seed"}``
+* fringe manifest: ``{"grid", "cores", "phase_steps", "frame_shape",
+  "frames": [...], "reference", "reference_core"}``
 
 Binary complex-matrix format (little endian): header ``u32 order`` then
 ``u32 dtype_tag`` (1 = complex128), payload ``order * order`` row-major
@@ -25,20 +21,12 @@ import struct
 import numpy as np
 
 from .grid import Grid, make_grid
-from .layout import CoreLayout, _build_layout
 from .scene import SceneImage
-from .sensing import MeasurementRecord, NoiseModel
-from .sketch import SketchBatch
 
 DTYPE_TAG_COMPLEX128 = 1
 
 
 # -- JSON ------------------------------------------------------------------
-
-
-def _complex_pairs(arr: np.ndarray):
-    stacked = np.stack([arr.real, arr.imag], axis=-1)
-    return stacked.tolist()
 
 
 def grid_to_dict(grid: Grid) -> dict:
@@ -53,45 +41,6 @@ def grid_to_dict(grid: Grid) -> dict:
 
 def grid_from_dict(data: dict) -> Grid:
     return make_grid(**data)
-
-
-def layout_to_json(layout: CoreLayout) -> str:
-    return json.dumps(
-        {
-            "grid": grid_to_dict(layout.grid),
-            "kind": layout.kind,
-            "positions": layout.positions.tolist(),
-        }
-    )
-
-
-def layout_from_json(text: str) -> CoreLayout:
-    data = json.loads(text)
-    grid = grid_from_dict(data["grid"])
-    return _build_layout(grid, np.asarray(data["positions"]), kind=data["kind"])
-
-
-def sketches_to_json(batch: SketchBatch) -> str:
-    return json.dumps(
-        {
-            "seed": batch.seed,
-            "quant_bits": batch.quant_bits,
-            "phases": batch.phases.tolist(),
-            "alphas": _complex_pairs(batch.alphas),
-        }
-    )
-
-
-def sketches_from_json(text: str) -> SketchBatch:
-    data = json.loads(text)
-    if "phases" in data:
-        phases = np.asarray(data["phases"], dtype=np.float64)
-    else:
-        pairs = np.asarray(data["alphas"], dtype=np.float64)
-        phases = np.angle(pairs[..., 0] + 1j * pairs[..., 1])
-    return SketchBatch(
-        phases=phases, seed=data.get("seed"), quant_bits=data.get("quant_bits")
-    )
 
 
 def scene_to_json(scene: SceneImage) -> str:
@@ -121,31 +70,6 @@ def scene_from_json(text: str) -> SceneImage:
         else np.asarray(vignette, dtype=np.float64).reshape(grid.shape),
         sparsity=data.get("sparsity"),
         support=None if support is None else np.asarray(support, dtype=np.int64),
-    )
-
-
-def record_to_json(record: MeasurementRecord) -> str:
-    return json.dumps(
-        {
-            "raw": record.raw.tolist(),
-            "debiased": record.debiased.tolist(),
-            "noise": {"kind": record.noise.kind, "scale": record.noise.scale},
-            "epsilon": record.epsilon,
-            "mode": record.mode,
-            "seed": record.seed,
-        }
-    )
-
-
-def record_from_json(text: str) -> MeasurementRecord:
-    data = json.loads(text)
-    return MeasurementRecord(
-        raw=np.asarray(data["raw"], dtype=np.float64),
-        debiased=np.asarray(data["debiased"], dtype=np.float64),
-        noise=NoiseModel(**data["noise"]),
-        epsilon=data["epsilon"],
-        mode=data["mode"],
-        seed=data.get("seed"),
     )
 
 

@@ -1,10 +1,10 @@
 """Random sketching vectors: per-core complex amplitudes set by the SLM.
 
-Entries are phase-only, so the batch stores the phases themselves; the
-complex amplitudes ``exp(i * phase)`` are materialized once, on first use.
-Phases are uniform on ``[0, 2pi)``, optionally quantized to
-``2**quant_bits`` levels to mimic the finite resolution of a phase
-modulator.
+Entries are phase-only, so a batch holds the phases alone; the complex
+amplitudes ``exp(i * phase)`` are materialized once, on first use.
+:func:`draw_sketches` draws the phases uniform on ``[0, 2pi)``, optionally
+quantized to ``2**quant_bits`` levels to mimic the finite resolution of a
+phase modulator; the batch keeps no record of its seed or quantization.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import numpy as np
 @dataclass(frozen=True, eq=False)
 class SketchBatch:
     phases: np.ndarray  # (m, q)
-    seed: int | None = None
-    quant_bits: int | None = None
 
     def __post_init__(self):
         self.phases.setflags(write=False)
@@ -31,12 +29,6 @@ class SketchBatch:
     @property
     def q(self) -> int:
         return self.phases.shape[1]
-
-    @property
-    def distribution(self) -> str:
-        if self.quant_bits is None:
-            return "uniform-phase"
-        return f"uniform-phase-{self.quant_bits}bit"
 
     @cached_property
     def alphas(self) -> np.ndarray:
@@ -63,13 +55,4 @@ def draw_sketches(q: int, m: int, seed, quant_bits: int | None = None) -> Sketch
             raise ValueError(f"quant_bits must be >= 1, got {quant_bits}")
         levels = 2**quant_bits
         phases = rng.integers(0, levels, size=(m, q)) * (2.0 * np.pi / levels)
-    return SketchBatch(phases=phases, seed=seed, quant_bits=quant_bits)
-
-
-def sketches_from_alphas(alphas: np.ndarray) -> SketchBatch:
-    """Wrap explicit unit-modulus vectors (phases taken from their angles)."""
-    alphas = np.asarray(alphas, dtype=np.complex128)
-    dev = np.abs(np.abs(alphas) - 1.0)
-    if dev.max() > 1e-9:
-        raise ValueError("sketch entries must have unit modulus")
-    return SketchBatch(phases=np.angle(alphas))
+    return SketchBatch(phases=phases)

@@ -23,7 +23,6 @@ from .primal_dual import (
 from .proj import (
     project_ball_around,
     project_l1_ball,
-    project_l1_ball_bisection,
     project_pixelwise_ball,
     project_psd_cone,
     soft_threshold,
@@ -45,7 +44,6 @@ __all__ = [
     "nyquist_sketches",
     "vignetted_snr",
     "project_l1_ball",
-    "project_l1_ball_bisection",
     "project_ball_around",
     "project_pixelwise_ball",
     "project_psd_cone",

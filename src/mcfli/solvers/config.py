@@ -37,9 +37,6 @@ class SolverConfig:
                 data = json.load(fh)
         return cls(**data)
 
-    def to_json(self) -> str:
-        return json.dumps({"max_iterations": self.max_iterations, "tol": self.tol})
-
 
 @dataclass
 class RecoveryResult:
@@ -55,8 +52,3 @@ class RecoveryResult:
     residual: float
     converged: bool
     objective_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    def trace_csv(self) -> str:
-        lines = ["iteration,objective"]
-        lines += [f"{i},{v!r}" for i, v in enumerate(self.objective_trace)]
-        return "\n".join(lines) + "\n"

@@ -6,11 +6,6 @@ from functools import lru_cache
 
 import numpy as np
 
-# the bisection oracle stops once its bracket on the soft-threshold level is
-# this narrow relative to max(1, level), or after BISECTION_MAX_ITER halvings
-BISECTION_RTOL = 1e-14
-BISECTION_MAX_ITER = 200
-
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
@@ -60,29 +55,6 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     mags -= shift
     np.maximum(mags, 0.0, out=mags)
     return np.sign(v) * mags
-
-
-def project_l1_ball_bisection(v: np.ndarray, radius: float) -> np.ndarray:
-    """Reference projection by bisection on the soft-threshold level.
-
-    Independent of the sorting-based path; used as its oracle.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if np.abs(v).sum() <= radius:
-        return v.copy()
-    if radius == 0:
-        return np.zeros_like(v)
-    lo, hi = 0.0, float(np.abs(v).max())
-    for _ in range(BISECTION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        total = np.maximum(np.abs(v) - mid, 0.0).sum()
-        if total > radius:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= BISECTION_RTOL * max(1.0, hi):
-            break
-    return soft_threshold(v, 0.5 * (lo + hi))
 
 
 def project_ball_around(u: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:

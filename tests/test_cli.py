@@ -36,6 +36,27 @@ def test_sweep_command_from_config(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("k,q,m,")
 
 
+@pytest.mark.parametrize(
+    "flag",
+    [["--k", "8"], ["--m", "99"], ["--q", "5"], ["--vis", "20"], ["--n1", "32"],
+     ["--trials", "5"], ["--threshold", "30"], ["--solver", "bpdn"]],
+    ids=lambda flag: flag[0],
+)
+def test_sweep_config_refuses_spec_flags(flag, tmp_path, capsys):
+    # the spec file sets every cell, the solver and the trial count, so a
+    # spec flag beside it would be parsed and then ignored
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(json.dumps({
+        "k_values": [1], "m_values": [10], "q_values": [6],
+        "trials": 1, "n1": 64,
+    }))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(cfg), *flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert flag[0] in captured.err and captured.out == ""
+
+
 def test_rip_command(capsys):
     assert main(["rip", "--k", "2", "--q", "10", "--m", "24", "--n1", "64",
                  "--trials", "120", "--seed", "0"]) == 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mcfli.harness import (
+    SOLVERS,
     SweepSpec,
     estimate_rip_constants,
     find_core_count_for_visibility_target,
@@ -134,6 +135,12 @@ def test_sweep_spec_validation():
         SweepSpec(k_values=[1], m_values=[1], q_values=[4], vis_targets=[10])
     with pytest.raises(ValueError):
         SweepSpec(k_values=[1], m_values=[1], q_values=[4], trials=0)
+    # a solver is checked where the spec is built, not at the first trial
+    # (in a worker when threads > 1)
+    for solver in SOLVERS:
+        SweepSpec(k_values=[1], m_values=[1], q_values=[4], solver=solver)
+    with pytest.raises(ValueError, match="unknown solver 'lp'"):
+        SweepSpec(k_values=[1], m_values=[1], q_values=[4], solver="lp")
 
 
 def test_sweep_writes_csv(tmp_path):

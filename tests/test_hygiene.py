@@ -11,6 +11,9 @@
   attribute) somewhere in ``src/``, ``tests/`` or ``perfbench/``.
 - Each ``__init__.py`` imports exactly the names of its ``__all__``, and
   lists none twice.
+- Every name ``mcfli`` or ``mcfli.solvers`` exports is reached from the CLI,
+  the harness or ``perfbench/``, or is listed in ``TEST_ONLY_API`` with the
+  test that needs it.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ def definitions(tree: ast.Module) -> list[tuple[str, int]]:
     return defs
 
 
-def names_read(tree: ast.Module) -> set[str]:
+def names_read(tree: ast.AST) -> set[str]:
     """Every name loaded, bare or as an attribute."""
     read = set()
     for node in ast.walk(tree):
@@ -180,3 +183,83 @@ def test_package_imports_equal_all(path):
     assert len(set(imported)) == len(imported), "a name is imported twice"
     assert len(set(exported)) == len(exported), "a name is listed twice in __all__"
     assert sorted(imported) == sorted(exported)
+
+
+# ---------------------------------------------------------------------------
+# reach of the public API
+# ---------------------------------------------------------------------------
+
+# exported names that no code outside the tests reaches, with what needs them
+TEST_ONLY_API = {
+    "random_hermitian": "criteria 2 and 4; test_hermitian, test_nyquist, test_sensing",
+    "solve_trace_min_psd": "criterion 7; test_solvers",
+    "project_psd_cone": "the proximal step of solve_trace_min_psd; test_solvers",
+    "nyquist_forward": "criterion 3; test_nyquist",
+    "nyquist_recover": "criterion 3; test_nyquist",
+    "nyquist_sketches": "nyquist_forward's sketches; test_nyquist",
+    "nyquist_sketch_count": "nyquist_recover's check; test_nyquist",
+    "srop_forward": "criterion 7; the projection identities in test_sensing",
+    "debias": "test_sensing: the data equals debias(srop_forward(...))",
+    "rs_measure": "the paper's raster-scanning mode; test_speckle_modes",
+    "interferometric_rank": "the rank claims in test_sensing",
+    "explicit_layout": "criterion 1; hand-placed cores in test_layout, test_sensing",
+    "delta_scene": "test_speckle_modes",
+    "spikes_scene": "the rank claims in test_sensing",
+    "zeros_scene": "test_sensing, test_speckle_modes",
+    "rectangles_scene": "the TV tests in test_solvers",
+    "gaussian_vignette": "test_serialization, test_speckle_modes",
+}
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _identifier_strings(tree: ast.AST) -> set[str]:
+    """String constants that could name an attribute (``getattr`` targets)."""
+    return {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.isidentifier()
+    }
+
+
+def reached_names() -> set[str]:
+    """Names reached from ``perfbench/`` and from the module-level code of
+    ``src/`` (the CLI's ``main`` among it), following what each reached
+    module-level function or class reads.
+
+    ``perfbench`` reads the package through attributes and ``getattr``
+    strings; a bare name it defines itself is its own, not the package's.
+    """
+    live = set()
+    for path in (ROOT / "perfbench").rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        own = {node.name for node in tree.body if isinstance(node, DEFINITIONS)}
+        live |= (names_read(tree) - own) | _identifier_strings(tree)
+    reads: dict[str, set[str]] = {}
+    for path in (ROOT / "src").rglob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, DEFINITIONS):
+                reads.setdefault(node.name, set()).update(names_read(node))
+            else:
+                live |= names_read(node)
+    frontier = live & reads.keys()
+    while frontier:
+        new = set().union(*(reads[name] for name in frontier)) - live
+        live |= new
+        frontier = new & reads.keys()
+    return live
+
+
+def test_public_api_is_reached_or_listed():
+    exported = {
+        name for path in PACKAGES for name in imported_and_exported(path.read_text())[1]
+    }
+    reached = reached_names()
+    unlisted = sorted(exported - reached - TEST_ONLY_API.keys())
+    assert unlisted == [], f"exported, reached only from tests: {unlisted}"
+    stale = sorted(name for name in TEST_ONLY_API if name in reached or name not in exported)
+    assert stale == [], f"TEST_ONLY_API entries that are reached or not exported: {stale}"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcfli import draw_sketches, sketches_from_alphas
+from mcfli import draw_sketches
 
 EPS = np.finfo(float).eps
 
@@ -24,7 +24,6 @@ def test_quantized_phases_on_lattice():
     steps = batch.phases * 256 / (2 * np.pi)
     assert np.allclose(steps, np.round(steps), atol=1e-12)
     assert np.all(np.abs(np.abs(batch.alphas) - 1.0) <= EPS)
-    assert batch.distribution == "uniform-phase-8bit"
 
 
 def test_seeded_determinism():
@@ -59,14 +58,6 @@ def test_unit_modulus_property(q, m, seed, bits):
     batch = draw_sketches(q, m, seed=seed, quant_bits=bits)
     assert batch.alphas.shape == (m, q)
     assert np.all(np.abs(np.abs(batch.alphas) - 1.0) <= EPS)
-
-
-def test_wrap_explicit_alphas():
-    a = np.exp(1j * np.array([[0.3, 1.2], [2.0, 4.0]]))
-    batch = sketches_from_alphas(a)
-    assert np.allclose(batch.alphas, a, atol=1e-12)
-    with pytest.raises(ValueError):
-        sketches_from_alphas(np.array([[0.5 + 0j, 1.0]]))
 
 
 def test_alphas_are_computed_once_and_read_only():
