@@ -12,7 +12,8 @@ Every subcommand takes ``--seed <u64>``.  ``--out <path>`` is taken by
 ``sweep``, ``rip``, ``demo`` and ``calibrate``; ``--config <json>`` by
 ``trial`` and ``demo`` (a solver config) and ``sweep`` (a sweep spec); and
 ``--threads <n>`` by ``sweep`` alone.  Each subcommand declares only the
-flags it reads, and ``sweep --config`` refuses the flags that set the spec.
+flags it reads, and ``sweep --config`` refuses the flags that set the spec,
+``--seed`` among them (a spec file gives its own ``master_seed``).
 """
 
 from __future__ import annotations
@@ -54,15 +55,16 @@ _SPEC_FLAGS = {
     "trials": "trials",
     "threshold": "threshold_db",
     "solver": "solver",
+    "seed": "master_seed",
 }
 # CLI defaults of the two fields SweepSpec requires; the other flags left
-# out take SweepSpec's defaults
+# out take SweepSpec's defaults (master_seed 0, as --seed elsewhere)
 _SWEEP_DEFAULTS = {"k_values": [4], "m_values": [44]}
 
 
-def _add_shared(parser, *flags):
+def _add_shared(parser, *flags, **overrides):
     for flag in flags:
-        parser.add_argument(flag, **_SHARED_FLAGS[flag])
+        parser.add_argument(flag, **{**_SHARED_FLAGS[flag], **overrides})
 
 
 def _load_json(path):
@@ -71,7 +73,7 @@ def _load_json(path):
 
 
 def _cmd_trial(args):
-    config = SolverConfig.from_json(args.config) if args.config else None
+    config = SolverConfig(**_load_json(args.config)) if args.config else None
     result = run_trial(
         args.k, args.q, args.m, args.seed, solver=args.solver, n1=args.n1,
         threshold_db=args.threshold, config=config,
@@ -91,15 +93,12 @@ def _cmd_sweep(args, parser):
                 "--config sets the sweep spec; drop " + ", ".join(f"--{d}" for d in given)
             )
         data = _load_json(args.config)
-        data.setdefault("master_seed", args.seed)
         if args.out:
             data["out_path"] = args.out
         spec = SweepSpec(**data)
     else:
         fields = {_SPEC_FLAGS[dest]: getattr(args, dest) for dest in given}
-        spec = SweepSpec(
-            **{**_SWEEP_DEFAULTS, **fields}, master_seed=args.seed, out_path=args.out
-        )
+        spec = SweepSpec(**{**_SWEEP_DEFAULTS, **fields}, out_path=args.out)
     result = run_sweep(spec, threads=args.threads)
     if not spec.out_path:
         sys.stdout.write(result.to_csv())
@@ -130,7 +129,7 @@ def _cmd_rip(args):
 def _cmd_demo(args):
     out_dir = args.out or "demo_out"
     os.makedirs(out_dir, exist_ok=True)
-    config = SolverConfig.from_json(args.config) if args.config else None
+    config = SolverConfig(**_load_json(args.config)) if args.config else None
     report = run_imaging_demo(
         out_dir=out_dir,
         scene_path=args.scene,
@@ -196,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--trials", type=int, help="trials per cell (default: 80)")
     spec.add_argument("--threshold", type=float, help="success SNR in dB (default: 40)")
     spec.add_argument("--solver", choices=SOLVERS, help="recovery program (default: lasso)")
-    _add_shared(p, "--seed", "--out", "--threads", "--config")
+    _add_shared(spec, "--seed", default=argparse.SUPPRESS)
+    _add_shared(p, "--out", "--threads", "--config")
     p.set_defaults(func=partial(_cmd_sweep, parser=p))
 
     p = sub.add_parser("rip", help="empirical restricted-isometry constants")

@@ -1,4 +1,5 @@
-"""Hermitian matrix container with diagonal/hollow decomposition."""
+"""Hermitian matrix container: the exactly symmetrized array, its order and
+its numerical rank, and random test matrices with optional structure."""
 
 from __future__ import annotations
 
@@ -37,23 +38,6 @@ class HermitianMatrix:
     @property
     def order(self) -> int:
         return self.data.shape[0]
-
-    def diagonal_part(self) -> "HermitianMatrix":
-        return HermitianMatrix(np.diag(np.diag(self.data)))
-
-    def hollow_part(self) -> "HermitianMatrix":
-        out = self.data.copy()
-        np.fill_diagonal(out, 0.0)
-        return HermitianMatrix(out)
-
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
-    def trace(self) -> float:
-        return float(np.trace(self.data).real)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.data)
 
     def numerical_rank(self) -> int:
         s = np.linalg.svd(self.data, compute_uv=False)

@@ -171,7 +171,8 @@ class SropOperator:
     sketches put identical weight on every diagonal entry).  The sketch
     matrix is cached on the batch and its conjugate here on first use, so
     repeated calls (one forward and one adjoint per solver iteration) build
-    neither again.
+    neither again.  ``as_matrix`` gives the same map as a dense real matrix
+    on the float64 view of the Hermitian matrix.
     """
 
     def __init__(self, sketches: SketchBatch, centered: bool = False):
@@ -216,13 +217,20 @@ class SropOperator:
             z = z - z.mean()
         return (self.sketches.alphas.T * z) @ self._alphas_conj
 
-    def _power_start(self, rng: np.random.Generator) -> np.ndarray:
-        """Random Hermitian start of the Lanczos iteration in
-        :func:`mcfli.solvers.linop.operator_norm` (the domain is matrices)."""
-        x = rng.standard_normal((self.q, self.q)) + 1j * rng.standard_normal(
-            (self.q, self.q)
-        )
-        return 0.5 * (x + x.conj().T)
+    def as_matrix(self) -> np.ndarray:
+        """Dense real ``(m, 2 q^2)`` matrix of the map.
+
+        Row ``i`` is the float64 view of ``a_i a_i^H``, less the mean row
+        when the operator is centred, so ``as_matrix() @
+        h.view(np.float64).ravel()`` equals ``forward(h)`` for Hermitian
+        ``h`` (``a^H h a`` is the real inner product of ``h`` with ``a a^H``).
+        The rows lie in the Hermitian subspace, so the matrix has the map's
+        norm.
+        """
+        a = self.sketches.alphas
+        rows = (a[:, :, None] * self._alphas_conj[:, None, :]).view(np.float64)
+        rows = rows.reshape(self.m, -1)
+        return rows - rows.mean(axis=0) if self.centered else rows
 
 
 def srop_forward(matrix, sketches: SketchBatch) -> np.ndarray:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,15 +26,6 @@ class SolverConfig:
             raise ValueError("max_iterations must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-
-    @classmethod
-    def from_json(cls, text_or_path) -> "SolverConfig":
-        try:
-            data = json.loads(text_or_path)
-        except (json.JSONDecodeError, TypeError):
-            with open(text_or_path) as fh:
-                data = json.load(fh)
-        return cls(**data)
 
 
 @dataclass

@@ -58,10 +58,9 @@ def _lanczos_norm(op) -> float:
     """Lanczos upper bound on the spectral norm of ``op``.
 
     The Krylov basis starts from a standard normal vector of length
-    ``op.n``, or from ``op._power_start(rng)`` when the operator's domain is
-    not flat real vectors (SROP acts on Hermitian matrices); the generator
-    is seeded with 0, so the bound is reproducible.  Iterates are
-    compared with the real inner product of their float64 view and fully
+    ``op.n`` only: every operator acts on flat real vectors (the PSD
+    program runs on the real matrix of its SROP map).  The generator is
+    seeded with 0, so the bound is reproducible.  Iterates are fully
     reorthogonalised (two Gram-Schmidt passes against the basis).  The
     iteration stops once the top Ritz pair ``(theta, s)`` has a residual
     ``beta * |s[-1]|`` below ``LANCZOS_RTOL * theta``, once the Krylov space
@@ -70,15 +69,7 @@ def _lanczos_norm(op) -> float:
     so ``sqrt(theta + residual)`` bounds its square root from above; a zero
     operator gives exactly 0.0.
     """
-    rng = np.random.default_rng(0)
-    x = op._power_start(rng) if hasattr(op, "_power_start") else rng.standard_normal(op.n)
-    shape, dtype = x.shape, x.dtype
-    matrix_domain = x.ndim == 2
-
-    def flat(v):
-        return np.array(v, dtype=dtype).reshape(-1).view(np.float64)
-
-    q = flat(x)
+    q = np.random.default_rng(0).standard_normal(op.n)
     q /= np.linalg.norm(q)
     kmax = min(LANCZOS_MAX_BASIS, q.size)
     basis = np.empty((kmax, q.size))
@@ -88,7 +79,8 @@ def _lanczos_norm(op) -> float:
         if k:
             tri[k, k - 1] = tri[k - 1, k] = beta
         basis[k] = q
-        w = flat(op.adjoint(op.forward(q.view(dtype).reshape(shape))))
+        # a fresh copy: w is updated in place below
+        w = np.array(op.adjoint(op.forward(q)), dtype=np.float64)
         v = basis[: k + 1]
         alpha = 0.0
         for _ in range(2):
@@ -102,8 +94,4 @@ def _lanczos_norm(op) -> float:
         if beta == 0.0 or residual <= LANCZOS_RTOL * theta:
             break
         q = w / beta
-        if matrix_domain:
-            h_new = q.view(dtype).reshape(shape)
-            q = flat(0.5 * (h_new + h_new.conj().T))
-            q /= np.linalg.norm(q)
     return float(np.sqrt(max(theta + residual, 0.0)))

@@ -9,9 +9,12 @@ primal):
   ``||y - A(X)||_1 <= eps`` (nuclear norm on the cone).
 
 They differ only in the starting point, the primal proximal step and the
-objective.  Step sizes satisfy ``sigma * tau * ||B||^2 < 1`` with ``||B||``
-the Lanczos upper bound from :func:`~mcfli.solvers.linop.operator_norm`, so
-the rule holds for the true norm, not only for an estimate of it.
+objective.  Iterates are flat real vectors in both: the PSD program runs on
+the real matrix of its SROP map (:meth:`~mcfli.sensing.SropOperator.as_matrix`),
+whose columns are the float64 view of ``X``.  Step sizes satisfy
+``sigma * tau * ||B||^2 < 1`` with ``||B||`` the Lanczos upper bound from
+:func:`~mcfli.solvers.linop.operator_norm`, so the rule holds for the true
+norm, not only for an estimate of it.
 
 Nonnegative TV-regularized least squares for 2-D scenes has its own loop: a
 Condat-Vu splitting whose primal step also descends the smooth data term.
@@ -24,7 +27,7 @@ import math
 import numpy as np
 
 from .config import RecoveryResult, SolverConfig
-from .linop import as_operator, operator_norm
+from .linop import MatrixOperator, as_operator, operator_norm
 from .proj import (
     project_ball_around,
     project_pixelwise_ball,
@@ -45,6 +48,8 @@ ADAPT_GROWTH = 8.0
 ADAPT_RATIO_CAP = 1e9
 
 
+# np.linalg.norm computes the same sqrt(v.dot(v)) for the flat real iterates,
+# with more dispatch per call
 def _vector_norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
@@ -72,9 +77,6 @@ def _l1_constrained_primal_dual(
     norm_b = max(operator_norm(op), 1e-300)
     ratio = 1.0
     sigma = tau = 0.99 / norm_b
-    # flat real iterates skip np.linalg.norm's dispatch (it computes the same
-    # sqrt(v.dot(v)) for contiguous real vectors); matrix iterates keep it
-    norm = _vector_norm if x.ndim == 1 else np.linalg.norm
 
     # project_ball_around(u / sigma, y, 0) is y + 0.0 whatever u is, so at
     # eps = 0 the dual step subtracts sigma * (y + 0.0), formed once per sigma
@@ -105,14 +107,14 @@ def _l1_constrained_primal_dual(
         obj = objective(x_new)
         if _feasible(resid, eps) and obj < best_obj:
             best_x, best_obj, best_resid = x_new.copy(), obj, resid
-        dx = norm(x_new - x)
+        dx = _vector_norm(x_new - x)
         fx_bar = 2.0 * fx_new - fx
         x, fx = x_new, fx_new
         trace.append(obj)
         if (
             it > SAFE_MIN_ITERS
             and best_x is not None
-            and dx <= config.tol * max(1.0, norm(x))
+            and dx <= config.tol * max(1.0, _vector_norm(x))
         ):
             converged = True
             break
@@ -151,20 +153,32 @@ def solve_trace_min_psd(
     """Recover a PSD matrix from raw (uncentered) rank-one projections.
 
     Minimizes the trace, which equals the nuclear norm on the PSD cone, under
-    an l1 bound on the measurement misfit.  The PSD projection runs a full
-    Hermitian eigendecomposition per iteration (fine for moderate orders).
+    an l1 bound on the measurement misfit.  The loop runs on
+    ``srop_op.as_matrix()`` with the float64 view of the ``q x q`` matrix as
+    its iterate; the estimate is returned as the complex matrix.  The PSD
+    projection runs a full Hermitian eigendecomposition per iteration (fine
+    for moderate orders).
     """
     q = srop_op.q
-    eye = np.eye(q)
-    return _l1_constrained_primal_dual(
-        srop_op,
+
+    def square(v):
+        return v.view(np.complex128).reshape(q, q)
+
+    def flat(h):
+        return h.view(np.float64).ravel()
+
+    eye = flat(np.eye(q, dtype=np.complex128))
+    result = _l1_constrained_primal_dual(
+        MatrixOperator(srop_op.as_matrix()),
         y,
         eps,
         config,
-        x=np.zeros((q, q), dtype=np.complex128),
-        prox=lambda v, g, tau: project_psd_cone(v - tau * (g + eye)),
-        objective=lambda x: float(np.trace(x).real),
+        x=np.zeros(2 * q * q),
+        prox=lambda v, g, tau: flat(project_psd_cone(square(v - tau * (g + eye)))),
+        objective=lambda x: float(np.trace(square(x)).real),
     )
+    result.estimate = square(result.estimate)
+    return result
 
 
 # ---------------------------------------------------------------------------

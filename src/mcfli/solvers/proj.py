@@ -58,13 +58,7 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
 
 
 def project_ball_around(u: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Projection onto ``{u : ||u - center||_1 <= radius}``.
-
-    A zero radius returns ``center + 0.0``, the same bits as the general
-    path (which adds a zero vector) without forming ``u - center``.
-    """
-    if radius == 0:
-        return center + 0.0
+    """Projection onto ``{u : ||u - center||_1 <= radius}``."""
     return center + project_l1_ball(u - center, radius)
 
 

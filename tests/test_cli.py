@@ -30,16 +30,16 @@ def test_sweep_command_from_config(tmp_path, capsys):
     cfg = tmp_path / "spec.json"
     cfg.write_text(json.dumps({
         "k_values": [1], "m_values": [10], "q_values": [6],
-        "trials": 1, "n1": 64,
+        "trials": 1, "n1": 64, "master_seed": 2,
     }))
-    assert main(["sweep", "--config", str(cfg), "--seed", "2"]) == 0
+    assert main(["sweep", "--config", str(cfg)]) == 0
     assert capsys.readouterr().out.startswith("k,q,m,")
 
 
 @pytest.mark.parametrize(
     "flag",
     [["--k", "8"], ["--m", "99"], ["--q", "5"], ["--vis", "20"], ["--n1", "32"],
-     ["--trials", "5"], ["--threshold", "30"], ["--solver", "bpdn"]],
+     ["--trials", "5"], ["--threshold", "30"], ["--solver", "bpdn"], ["--seed", "2"]],
     ids=lambda flag: flag[0],
 )
 def test_sweep_config_refuses_spec_flags(flag, tmp_path, capsys):
@@ -55,6 +55,13 @@ def test_sweep_config_refuses_spec_flags(flag, tmp_path, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert flag[0] in captured.err and captured.out == ""
+
+
+def test_malformed_config_raises_decode_error(tmp_path):
+    cfg = tmp_path / "solver.json"
+    cfg.write_text('{"tol": ')
+    with pytest.raises(json.JSONDecodeError):
+        main(["trial", "--k", "1", "--q", "4", "--m", "8", "--config", str(cfg)])
 
 
 def test_rip_command(capsys):

@@ -4,23 +4,6 @@ import pytest
 from mcfli import HermitianMatrix, random_hermitian
 
 
-def test_diagonal_hollow_roundtrip():
-    h = random_hermitian(7, seed=0)
-    d = h.diagonal_part()
-    o = h.hollow_part()
-    assert np.array_equal(d.data + o.data, h.data)
-    assert np.array_equal(d.data, d.data.conj().T)
-    assert np.array_equal(o.data, o.data.conj().T)
-    assert np.all(np.diag(o.data) == 0)
-
-
-def test_frobenius_pythagoras():
-    h = random_hermitian(9, seed=1)
-    total = h.frobenius_norm() ** 2
-    parts = h.diagonal_part().frobenius_norm() ** 2 + h.hollow_part().frobenius_norm() ** 2
-    assert total == pytest.approx(parts, rel=1e-14)
-
-
 def test_stored_matrix_exactly_hermitian():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
@@ -46,7 +29,8 @@ def test_structured_constructors():
     h = random_hermitian(6, seed=5, constant_diagonal=2.5)
     assert np.allclose(np.diag(h.data), 2.5)
     h = random_hermitian(6, seed=6, psd=True)
-    assert h.eigenvalues().min() >= -1e-10 * h.eigenvalues().max()
+    w = np.linalg.eigvalsh(h.data)
+    assert w.min() >= -1e-10 * w.max()
 
 
 def test_numerical_rank():

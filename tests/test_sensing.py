@@ -78,7 +78,7 @@ def test_nonnegative_scene_gives_psd_matrix():
     rng = np.random.default_rng(2)
     scene = SceneImage(grid=g, values=rng.uniform(0, 1, g.shape))
     mat = interferometric_matrix(scene, lay)
-    w = mat.eigenvalues()
+    w = np.linalg.eigvalsh(mat.data)
     assert w.min() >= -1e-10 * np.abs(w).max()
 
 
@@ -137,7 +137,7 @@ def test_frobenius_identity_on_distinct_layout():
     assert lay is not None, "no distinct layout found in 50 seeds"
     scene = sparse_scene(g, 10, seed=3, zero_mean=True)
     mat = interferometric_matrix(scene, lay)
-    lhs = mat.frobenius_norm() ** 2 / g.fourier_scale**2
+    lhs = np.linalg.norm(mat.data) ** 2 / g.fourier_scale**2
     spectrum = g.fft(scene.values)
     bins = np.unique(lay.off_diagonal_bins)
     rhs = np.sum(np.abs(spectrum[bins]) ** 2)
@@ -185,7 +185,7 @@ def test_mean_estimates_trace():
     h = random_hermitian(q, seed=2, constant_diagonal=0.7)
     y = srop_forward(h.data, sk)
     se = y.std(ddof=1) / np.sqrt(m)
-    assert abs(y.mean() - h.trace()) <= 3 * se
+    assert abs(y.mean() - np.trace(h.data).real) <= 3 * se
 
 
 def test_quadratic_form_matches_double_loop():
