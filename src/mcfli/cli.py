@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import partial
 
@@ -128,7 +127,6 @@ def _cmd_rip(args):
 
 def _cmd_demo(args):
     out_dir = args.out or "demo_out"
-    os.makedirs(out_dir, exist_ok=True)
     config = SolverConfig(**_load_json(args.config)) if args.config else None
     report = run_imaging_demo(
         out_dir=out_dir,

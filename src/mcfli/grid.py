@@ -1,11 +1,12 @@
 """Sampling grids shared by scenes, layouts and operators.
 
 A :class:`Grid` fixes the discretization of the object plane: ``n1`` points
-per axis over a square field of view of side ``fov``, together with the
-optical constants (wavelength, imaging depth) that convert core positions
-into spatial frequencies.  All Fourier transforms in the package go through
-:meth:`Grid.fft` / :meth:`Grid.ifft`, which use the unitary DFT with the
-coordinate origin at the center of the field of view.
+per axis over a square field of view of side ``fov``, so its spectrum is
+sampled at multiples of ``1/fov``.  It carries no optical constants: core
+positions are lattice coordinates (see :mod:`mcfli.layout`), and dividing
+them by ``fov`` gives their frequencies.  All Fourier transforms in the
+package go through :meth:`Grid.fft` / :meth:`Grid.ifft`, which use the
+unitary DFT with the coordinate origin at the center of the field of view.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ class Grid:
     dim: int
     n1: int
     fov: float
-    wavelength: float = 1.0
-    depth: float = 1.0
 
     @property
     def n_points(self) -> int:
@@ -41,30 +40,12 @@ class Grid:
         return self.pixel_pitch**self.dim
 
     @property
-    def bandwidth(self) -> float:
-        """Two-sided spectral width ``W = n1 / fov``."""
-        return self.n1 / self.fov
-
-    @property
-    def frequency_pitch(self) -> float:
-        return 1.0 / self.fov
-
-    @property
     def fourier_scale(self) -> float:
         """Constant relating continuous Fourier coefficients to DFT bins.
 
         Equals ``fov / sqrt(N)`` in 1-D and ``fov**2 / sqrt(N)`` in 2-D.
         """
         return self.fov**self.dim / np.sqrt(self.n_points)
-
-    @property
-    def core_pitch(self) -> float:
-        """Distal-plane spacing that lands visibilities on the frequency grid.
-
-        A pair of cores separated by ``core_pitch`` probes a frequency of
-        exactly one grid pitch ``1/fov``.
-        """
-        return self.wavelength * self.depth / self.fov
 
     def axis_coords(self) -> np.ndarray:
         """Pixel-center coordinates along one axis, origin at the center."""
@@ -107,17 +88,11 @@ class Grid:
         return folded[..., 0] * self.n1 + folded[..., 1]
 
 
-def make_grid(
-    dim: int,
-    n1: int,
-    fov: float,
-    wavelength: float = 1.0,
-    depth: float = 1.0,
-) -> Grid:
+def make_grid(dim: int, n1: int, fov: float) -> Grid:
     """Build a validated :class:`Grid`.
 
     ``n1`` must be even (the grid straddles the origin symmetrically) and the
-    field of view, wavelength and depth must be positive.
+    field of view must be positive.
     """
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
@@ -125,6 +100,4 @@ def make_grid(
         raise ValueError(f"n1 must be even and >= 2, got {n1}")
     if fov <= 0:
         raise ValueError(f"fov must be positive, got {fov}")
-    if wavelength <= 0 or depth <= 0:
-        raise ValueError("wavelength and depth must be positive")
-    return Grid(dim=dim, n1=n1, fov=fov, wavelength=wavelength, depth=depth)
+    return Grid(dim=dim, n1=n1, fov=fov)

@@ -14,7 +14,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -495,19 +495,7 @@ def run_imaging_demo(
     report = DemoReport(entries=entries, rs_snr_db=rs_snr)
     if out_dir is not None:
         write_pgm(os.path.join(out_dir, "truth.pgm"), truth)
-        payload = {
-            "rs_snr_db": rs_snr,
-            "entries": [
-                {
-                    "q": e.q,
-                    "m": e.m,
-                    "rho": e.rho,
-                    "snr_db": e.snr_db,
-                    "iterations": e.iterations,
-                }
-                for e in entries
-            ],
-        }
+        payload = {"rs_snr_db": rs_snr, "entries": [asdict(e) for e in entries]}
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
             json.dump(payload, fh, indent=2)
     return report

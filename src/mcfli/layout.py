@@ -1,14 +1,16 @@
 """Core layouts and their visibility (difference-set) bookkeeping.
 
-A layout holds the distal-plane positions of the fiber cores.  Every ordered
-pair ``(j, k)`` of cores probes the object spectrum at the visibility
-``(p_j - p_k) / (wavelength * depth)``.  Positions are stored continuous;
-visibilities are snapped to the nearest frequency-grid bin when building the
-index map, and the snap residual is recorded per pair so that departures from
-the on-grid assumption stay measurable.  Duplicate off-diagonal bins are
-allowed and counted rather than rejected.  A layout is its grid and positions
-with the bookkeeping derived from them; which constructor drew the positions
-is not recorded.
+A layout holds the distal-plane positions of the fiber cores in core
+pitches: the lattice unit ``lambda * z / fov`` (optical constants times the
+inverse field of view), at which two cores one pitch apart probe frequencies
+one bin apart.  Every ordered pair ``(j, k)`` of cores probes the object
+spectrum at the visibility ``(p_j - p_k) / fov``, that is at bin
+``p_j - p_k``.  Positions are stored continuous; visibilities are snapped to
+the nearest bin when building the index map, and the snap residual is
+recorded per pair so that departures from the on-grid assumption stay
+measurable.  Duplicate off-diagonal bins are allowed and counted rather than
+rejected.  A layout is its grid and positions with the bookkeeping derived
+from them; which constructor drew the positions is not recorded.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ SPIRAL_APERTURE_SHARE = 0.5
 @dataclass(frozen=True, eq=False)
 class CoreLayout:
     grid: Grid
-    positions: np.ndarray  # (q, dim) distal-plane coordinates
+    positions: np.ndarray  # (q, dim) distal-plane coordinates, core pitches
     bin_map: np.ndarray  # (q, q) flat frequency-bin index; diagonal -> bin 0
     snap_residuals: np.ndarray  # (q, q) max per-axis |rounding residual|, bin units
 
@@ -43,8 +45,9 @@ class CoreLayout:
 
     @property
     def core_frequencies(self) -> np.ndarray:
-        """Per-core frequency ``p_q / (wavelength * depth)``, shape (q, dim)."""
-        return self.positions / (self.grid.wavelength * self.grid.depth)
+        """Per-core frequency ``p_q / fov``, shape (q, dim): the one place
+        positions become frequencies."""
+        return self.positions / self.grid.fov
 
     @cached_property
     def off_diagonal_bins(self) -> np.ndarray:
@@ -119,11 +122,9 @@ class CoreLayout:
         n = self.grid.n_points
         rows = matrix.reshape(-1, self.bin_map.size)
         out = np.zeros((rows.shape[0], n), dtype=np.complex128)
-        index = self.bin_map.reshape(-1)
-        if rows.shape[0] > 1:
-            # row r accumulates into its own length-n slice of the flat output
-            index = (index + n * np.arange(rows.shape[0])[:, None]).reshape(-1)
-        np.add.at(out.reshape(-1), index, rows.reshape(-1))
+        # row r accumulates into its own length-n slice of the flat output
+        index = self.bin_map.reshape(-1) + n * np.arange(rows.shape[0])[:, None]
+        np.add.at(out.reshape(-1), index.reshape(-1), rows.reshape(-1))
         return out.reshape(batch + (n,))
 
 
@@ -133,8 +134,7 @@ def _build_layout(grid: Grid, positions: np.ndarray) -> CoreLayout:
         raise ValueError(
             f"positions have dim {positions.shape[1]}, grid has dim {grid.dim}"
         )
-    diffs = positions[:, None, :] - positions[None, :, :]
-    in_bins = diffs * grid.fov / (grid.wavelength * grid.depth)
+    in_bins = positions[:, None, :] - positions[None, :, :]
     snapped = np.rint(in_bins)
     residual = np.abs(in_bins - snapped).max(axis=-1)
     bin_map = grid.bin_index(snapped.astype(np.int64))
@@ -147,16 +147,18 @@ def _build_layout(grid: Grid, positions: np.ndarray) -> CoreLayout:
 
 
 def explicit_layout(grid: Grid, positions: np.ndarray) -> CoreLayout:
-    """Layout from user-provided positions (length units, distal plane)."""
+    """Layout from user-provided distal-plane positions, in core pitches
+    (units of ``lambda * z / fov``); integer positions lie on the
+    lattice, so every visibility lands on a bin."""
     return _build_layout(grid, positions)
 
 
 def random_layout_1d(grid: Grid, q: int, seed) -> CoreLayout:
     """Draw ``q`` core positions uniformly without replacement on a 1-D comb.
 
-    Candidate positions are the ``n1 + 1`` multiples of the core pitch in
-    ``[-n1/2, n1/2] * core_pitch``, so all visibilities land on-grid (modulo
-    the spectral wrap for separations beyond half the bandwidth).
+    Candidate positions are the ``n1 + 1`` integers in ``[-n1/2, n1/2]``
+    (core pitches), stored as float64, so all visibilities land on-grid
+    (modulo the spectral wrap for separations beyond ``n1/2`` pitches).
     Deterministic under a fixed seed.
     """
     if grid.dim != 1:
@@ -168,8 +170,7 @@ def random_layout_1d(grid: Grid, q: int, seed) -> CoreLayout:
         raise ValueError(f"q={q} exceeds the {n_slots} distinct grid positions")
     rng = np.random.default_rng(seed)
     slots = rng.choice(n_slots, size=q, replace=False) - grid.n1 // 2
-    positions = slots[:, None] * grid.core_pitch
-    return _build_layout(grid, positions)
+    return _build_layout(grid, slots[:, None])
 
 
 def fermat_spiral_layout(grid: Grid, q: int) -> CoreLayout:
@@ -178,16 +179,17 @@ def fermat_spiral_layout(grid: Grid, q: int) -> CoreLayout:
     The radius grows as the square root of the core index and the azimuth
     steps by the golden angle, which spreads the pairwise differences and
     keeps off-diagonal visibilities (nearly) all distinct.  The scaling
-    constants are not canonical; the spiral spans ``SPIRAL_APERTURE_SHARE``
-    (half) of the aliasing-free aperture of the grid.  Whether all
-    off-diagonal gridded visibilities are actually unique at this grid
-    resolution is reported by ``CoreLayout.is_distinct``.
+    constants are not canonical; the spiral's diameter is
+    ``SPIRAL_APERTURE_SHARE * n1`` core pitches, half of the aliasing-free
+    aperture of the grid.  The positions are in core pitches and mostly off
+    the lattice.  Whether all off-diagonal gridded visibilities are actually
+    unique at this grid resolution is reported by ``CoreLayout.is_distinct``.
     """
     if grid.dim != 2:
         raise ValueError("fermat_spiral_layout requires a 2-D grid")
     if q < 1:
         raise ValueError(f"need at least 1 core, got {q}")
-    diameter = SPIRAL_APERTURE_SHARE * grid.n1 * grid.core_pitch
+    diameter = SPIRAL_APERTURE_SHARE * grid.n1
     idx = np.arange(q, dtype=np.float64)
     radius = 0.5 * diameter * np.sqrt(idx / max(q - 1, 1))
     angle = idx * GOLDEN_ANGLE

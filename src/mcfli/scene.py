@@ -1,4 +1,4 @@
-"""Sample images on a grid, with vignetting and sparsity metadata."""
+"""Sample images on a grid, with an optional vignette."""
 
 from __future__ import annotations
 
@@ -17,8 +17,6 @@ class SceneImage:
     grid: Grid
     values: np.ndarray  # real, grid.shape
     vignette: np.ndarray | None = None
-    sparsity: int | None = None  # nominal K for synthetic sparse scenes
-    support: np.ndarray | None = None  # flat indices of the synthetic support
 
     def __post_init__(self):
         if self.values.shape != self.grid.shape:
@@ -40,8 +38,7 @@ class SceneImage:
 
 
 def zeros_scene(grid: Grid) -> SceneImage:
-    return SceneImage(grid=grid, values=np.zeros(grid.shape), sparsity=0,
-                      support=np.empty(0, dtype=np.int64))
+    return SceneImage(grid=grid, values=np.zeros(grid.shape))
 
 
 def sparse_scene(grid: Grid, k: int, seed, zero_mean: bool = True) -> SceneImage:
@@ -54,18 +51,13 @@ def sparse_scene(grid: Grid, k: int, seed, zero_mean: bool = True) -> SceneImage
         raise ValueError(f"k must be in [0, {grid.n_points}], got {k}")
     rng = np.random.default_rng(seed)
     values = np.zeros(grid.n_points)
-    support = rng.choice(grid.n_points, size=k, replace=False) if k else np.empty(0, int)
     if k:
+        support = rng.choice(grid.n_points, size=k, replace=False)
         amps = rng.standard_normal(k)
         if zero_mean:
             amps -= amps.mean()
         values[support] = amps
-    return SceneImage(
-        grid=grid,
-        values=values.reshape(grid.shape),
-        sparsity=k,
-        support=np.sort(support.astype(np.int64)),
-    )
+    return SceneImage(grid=grid, values=values.reshape(grid.shape))
 
 
 def delta_scene(grid: Grid, amplitude: float = 1.0) -> SceneImage:
@@ -74,8 +66,7 @@ def delta_scene(grid: Grid, amplitude: float = 1.0) -> SceneImage:
     flat_index = int(np.ravel_multi_index(center, grid.shape))
     values = np.zeros(grid.n_points)
     values[flat_index] = amplitude
-    return SceneImage(grid=grid, values=values.reshape(grid.shape), sparsity=1,
-                      support=np.array([flat_index], dtype=np.int64))
+    return SceneImage(grid=grid, values=values.reshape(grid.shape))
 
 
 def spikes_scene(grid: Grid, k: int, seed) -> SceneImage:
@@ -86,8 +77,7 @@ def spikes_scene(grid: Grid, k: int, seed) -> SceneImage:
     amps = rng.uniform(0.5, 1.5, size=k)
     amps *= rng.choice([-1.0, 1.0], size=k)
     values[support] = amps
-    return SceneImage(grid=grid, values=values.reshape(grid.shape), sparsity=k,
-                      support=np.sort(support.astype(np.int64)))
+    return SceneImage(grid=grid, values=values.reshape(grid.shape))
 
 
 def rectangles_scene(grid: Grid, amplitude: float = 1.0) -> SceneImage:

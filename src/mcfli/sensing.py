@@ -436,7 +436,8 @@ class WavefieldSet:
 
 def plane_wave_fields(layout: CoreLayout) -> WavefieldSet:
     """The far-field model: core ``q`` emits ``exp(+2i pi nu_q . x)`` at its
-    own (unsnapped) frequency ``nu_q``, with unit amplitude."""
+    own (unsnapped) frequency ``nu_q = p_q / fov`` (``core_frequencies``),
+    with unit amplitude."""
     grid = layout.grid
     waves = np.exp(2j * np.pi * (grid.points() @ layout.core_frequencies.T))  # (n, q)
     return WavefieldSet(grid=grid, fields=waves.T.reshape(layout.order, *grid.shape))

@@ -2,9 +2,8 @@
 
 JSON schema:
 
-* grid:    ``{"dim", "n1", "fov", "wavelength", "depth"}``
-* scene:   ``{"grid", "values": [...], "vignette": [...] | null,
-  "sparsity", "support"}``
+* grid:    ``{"dim", "n1", "fov"}``; a grid with any other key is refused
+* scene:   ``{"grid", "values": [...], "vignette": [...] | null}``
 * fringe manifest: ``{"grid", "cores", "phase_steps", "frame_shape",
   "frames": [...], "reference", "reference_core"}``
 
@@ -30,13 +29,7 @@ DTYPE_TAG_COMPLEX128 = 1
 
 
 def grid_to_dict(grid: Grid) -> dict:
-    return {
-        "dim": grid.dim,
-        "n1": grid.n1,
-        "fov": grid.fov,
-        "wavelength": grid.wavelength,
-        "depth": grid.depth,
-    }
+    return {"dim": grid.dim, "n1": grid.n1, "fov": grid.fov}
 
 
 def grid_from_dict(data: dict) -> Grid:
@@ -51,8 +44,6 @@ def scene_to_json(scene: SceneImage) -> str:
             "vignette": None
             if scene.vignette is None
             else scene.vignette.ravel().tolist(),
-            "sparsity": scene.sparsity,
-            "support": None if scene.support is None else scene.support.tolist(),
         }
     )
 
@@ -61,15 +52,12 @@ def scene_from_json(text: str) -> SceneImage:
     data = json.loads(text)
     grid = grid_from_dict(data["grid"])
     vignette = data.get("vignette")
-    support = data.get("support")
     return SceneImage(
         grid=grid,
         values=np.asarray(data["values"], dtype=np.float64).reshape(grid.shape),
         vignette=None
         if vignette is None
         else np.asarray(vignette, dtype=np.float64).reshape(grid.shape),
-        sparsity=data.get("sparsity"),
-        support=None if support is None else np.asarray(support, dtype=np.int64),
     )
 
 

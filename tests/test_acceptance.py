@@ -87,7 +87,7 @@ def test_criterion_01_oracle_equivalence():
         q = int(rng.integers(4, 13))
         slots = rng.choice(33 * 33, size=q, replace=False)
         coords = np.stack([slots // 33 - 16, slots % 33 - 16], axis=1)
-        lay = explicit_layout(g2, coords * g2.core_pitch)
+        lay = explicit_layout(g2, coords)
         scene = SceneImage(grid=g2, values=rng.standard_normal(g2.shape))
         a = np.asarray(_interf(scene, lay, "fft"), dtype=complex)
         b = np.asarray(_interf(scene, lay, "direct"), dtype=complex)

@@ -24,9 +24,7 @@ from mcfli.sensing import plane_wave_fields, srop_forward
 
 
 def snapped_spiral(grid, q):
-    lay = fermat_spiral_layout(grid, q)
-    snapped = np.rint(lay.positions / grid.core_pitch) * grid.core_pitch
-    return explicit_layout(grid, snapped)
+    return explicit_layout(grid, np.rint(fermat_spiral_layout(grid, q).positions))
 
 
 @pytest.fixture(scope="module")

@@ -5,18 +5,16 @@ from mcfli import make_grid
 
 
 def test_2d_grid_constants():
-    g = make_grid(2, 256, 1.0, 1.0, 1.0)
+    g = make_grid(2, 256, 1.0)
     assert g.n_points == 65536
-    assert g.bandwidth == 256.0
     assert g.fourier_scale == pytest.approx(1.0 / 256.0, rel=1e-14)
 
 
 def test_1d_grid_matches_experiment_size():
-    g = make_grid(1, 256, 1.0, 1.0, 1.0)
+    g = make_grid(1, 256, 1.0)
     assert g.n_points == 256
     assert g.fourier_scale == pytest.approx(1.0 / 16.0, rel=1e-14)
     assert g.pixel_pitch == pytest.approx(1.0 / 256.0)
-    assert g.frequency_pitch == pytest.approx(1.0)
 
 
 def test_odd_n1_rejected():

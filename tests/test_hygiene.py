@@ -114,14 +114,39 @@ def definitions(tree: ast.Module) -> list[tuple[str, int]]:
     return defs
 
 
-def names_read(tree: ast.AST) -> set[str]:
-    """Every name loaded, bare or as an attribute."""
+def _module_names(tree: ast.AST) -> set[str]:
+    """The names that ``import`` statements (not ``from ... import``) bind."""
+    return {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+
+
+def _chain_root(node: ast.Attribute) -> ast.expr:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
+def names_read(tree: ast.AST, modules: set[str] | None = None) -> set[str]:
+    """Every name loaded, bare or as an attribute.
+
+    An attribute chain rooted at a module (a name bound by an ``import``
+    statement of ``tree``, or in ``modules``) reads only its root:
+    ``np.trace`` reads ``np``, not a method named ``trace``.
+    """
+    if modules is None:
+        modules = _module_names(tree)
     read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
+            root = _chain_root(node)
+            if not (isinstance(root, ast.Name) and root.id in modules):
+                read.add(node.attr)
     return read
 
 
@@ -140,6 +165,24 @@ def test_dead_definition_scanner():
     tree = ast.parse(source)
     dead = [(n, line) for n, line in definitions(tree) if n not in names_read(tree)]
     assert dead == [("unused", 3), ("orphan", 7)]
+
+
+def test_module_attributes_do_not_read_members():
+    # numpy's trace is not a read of K.trace, nor is os.path.join of K.join
+    source = (
+        "import numpy as np\n"
+        "import os.path\n"
+        "class K:\n"
+        "    def trace(self): pass\n"
+        "    def join(self): pass\n"
+        "    def shape(self): pass\n"
+        "def f(x):\n"
+        "    return np.trace(x), os.path.join('a'), x.shape\n"
+        "f(K())\n"
+    )
+    tree = ast.parse(source)
+    dead = [(n, line) for n, line in definitions(tree) if n not in names_read(tree)]
+    assert dead == [("trace", 4), ("join", 5)]
 
 
 def test_no_dead_definitions():
@@ -216,8 +259,6 @@ TEST_ONLY_API = {
     "CoreLayout.is_distinct": "the distinct-visibility cases of test_layout, "
     "test_sensing",
     "DemoReport.plateau_snr": "criterion 10",
-    "Grid.bandwidth": "test_grid",
-    "Grid.frequency_pitch": "test_grid",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -251,11 +292,13 @@ def reached_names() -> set[str]:
     for path in (ROOT / "src").rglob("*.py"):
         if path.name == "__init__.py":
             continue
-        for node in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        modules = _module_names(tree)
+        for node in tree.body:
             if isinstance(node, DEFINITIONS):
-                reads.setdefault(node.name, set()).update(names_read(node))
+                reads.setdefault(node.name, set()).update(names_read(node, modules))
             else:
-                live |= names_read(node)
+                live |= names_read(node, modules)
     frontier = live & reads.keys()
     while frontier:
         new = set().union(*(reads[name] for name in frontier)) - live

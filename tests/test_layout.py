@@ -12,14 +12,13 @@ from mcfli import (
 def brute_force_distinct(layout):
     """Independent enumeration of distinct nonzero visibility bins."""
     grid = layout.grid
-    scale = grid.fov / (grid.wavelength * grid.depth)
     seen = set()
     q = layout.order
     for j in range(q):
         for k in range(q):
             if j == k:
                 continue
-            b = np.rint((layout.positions[j] - layout.positions[k]) * scale)
+            b = np.rint(layout.positions[j] - layout.positions[k])
             key = tuple(int(v) % grid.n1 for v in b)
             if grid.dim == 1:
                 if key[0] != 0:
@@ -86,7 +85,7 @@ def test_fermat_paper_configuration():
     assert lay.positions.shape == (110, 2)
     # spiral fits inside the default aperture
     radii = np.linalg.norm(lay.positions, axis=1)
-    assert radii.max() <= 0.25 * g.n1 * g.core_pitch + 1e-12
+    assert radii.max() <= 0.25 * g.n1 + 1e-12
 
 
 def test_fermat_single_core():
@@ -115,14 +114,21 @@ def test_fermat_requires_2d():
 
 
 def test_snap_residual_zero_on_grid():
+    # positions are lattice coordinates: a random comb holds integers, and
+    # rounding a spiral's positions puts it on the lattice
     g = make_grid(1, 64, 1.0)
     lay = random_layout_1d(g, 6, seed=1)
+    assert np.array_equal(lay.positions, np.rint(lay.positions))
     assert lay.max_snap_residual == 0.0
+    g2 = make_grid(2, 64, 1.0)
+    spiral = fermat_spiral_layout(g2, 110)
+    assert spiral.max_snap_residual > 0.0
+    assert explicit_layout(g2, np.rint(spiral.positions)).max_snap_residual == 0.0
 
 
 def test_snap_residual_recorded_off_grid():
     g = make_grid(1, 64, 1.0)
-    positions = np.array([[0.0], [1.3 * g.core_pitch], [5.02 * g.core_pitch]])
+    positions = np.array([[0.0], [1.3], [5.02]])
     lay = explicit_layout(g, positions)
     assert lay.max_snap_residual == pytest.approx(0.3, abs=1e-9)
 

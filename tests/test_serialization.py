@@ -12,6 +12,8 @@ from mcfli import (
 )
 from mcfli.scene import SceneImage
 from mcfli.serialization import (
+    grid_from_dict,
+    grid_to_dict,
     read_complex_matrix,
     read_float_array,
     scene_from_json,
@@ -38,14 +40,42 @@ def test_scene_roundtrip():
         grid=g,
         values=np.arange(64.0).reshape(8, 8),
         vignette=gaussian_vignette(g),
-        sparsity=3,
-        support=np.array([1, 5, 9]),
     )
     back = scene_from_json(scene_to_json(scene))
     assert np.array_equal(back.values, scene.values)
     assert np.allclose(back.vignette, scene.vignette)
-    assert back.sparsity == 3
-    assert np.array_equal(back.support, scene.support)
+
+
+def test_grid_json_holds_dim_n1_fov():
+    g = make_grid(2, 8, 0.5)
+    assert grid_to_dict(g) == {"dim": 2, "n1": 8, "fov": 0.5}
+    assert grid_from_dict(grid_to_dict(g)) == g
+
+
+@pytest.mark.parametrize("key", ["wavelength", "depth"])
+def test_grid_with_optical_constants_is_refused(key, tmp_path):
+    # an older file carried wavelength and depth; they must not be dropped
+    old = {"dim": 2, "n1": 16, "fov": 1.0, key: 1.0}
+    with pytest.raises(TypeError, match=key):
+        grid_from_dict(old)
+    scene = json.loads(scene_to_json(SceneImage(grid=make_grid(2, 16, 1.0),
+                                                values=np.zeros((16, 16)))))
+    scene["grid"] = old
+    with pytest.raises(TypeError, match=key):
+        scene_from_json(json.dumps(scene))
+
+    from mcfli import fermat_spiral_layout, render_fringes, synth_fields
+    from mcfli.serialization import load_fringe_stack, save_fringe_stack
+
+    fields = synth_fields(fermat_spiral_layout(make_grid(2, 16, 1.0), 3), seed=0)
+    manifest = save_fringe_stack(render_fringes(fields), tmp_path / "fringes")
+    with open(manifest) as fh:
+        data = json.load(fh)
+    data["grid"] = old
+    with open(manifest, "w") as fh:
+        json.dump(data, fh)
+    with pytest.raises(TypeError, match=key):
+        load_fringe_stack(manifest)
 
 
 def test_complex_matrix_binary_roundtrip(tmp_path):

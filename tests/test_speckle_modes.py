@@ -21,9 +21,7 @@ from mcfli.sensing import rs_steering, srop_forward
 
 
 def snapped_spiral(grid, q):
-    lay = fermat_spiral_layout(grid, q)
-    snapped = np.rint(lay.positions / grid.core_pitch) * grid.core_pitch
-    return explicit_layout(grid, snapped)
+    return explicit_layout(grid, np.rint(fermat_spiral_layout(grid, q).positions))
 
 
 def test_single_core_field_is_flat():
