@@ -12,7 +12,7 @@ from .calibration import (
     synth_fields,
 )
 from .grid import Grid, make_grid
-from .hermitian import HermitianMatrix, random_hermitian
+from .hermitian import random_hermitian
 from .layout import (
     CoreLayout,
     downsample_layout,
@@ -34,13 +34,10 @@ from .sensing import (
     CombinedOperator,
     SropOperator,
     WavefieldSet,
-    debias,
     interferometric_matrix,
-    interferometric_rank,
     plane_wave_fields,
     rs_measure,
     rs_scan,
-    srop_forward,
 )
 from .sketch import SketchBatch, draw_sketches
 from .solvers import (
@@ -76,14 +73,10 @@ __all__ = [
     "bar_target_scene",
     "zeros_scene",
     "gaussian_vignette",
-    "HermitianMatrix",
     "random_hermitian",
     "SropOperator",
     "CombinedOperator",
     "interferometric_matrix",
-    "interferometric_rank",
-    "srop_forward",
-    "debias",
     "rs_measure",
     "rs_scan",
     "WavefieldSet",

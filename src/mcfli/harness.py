@@ -38,6 +38,8 @@ DEFAULT_THRESHOLD_DB = 40.0
 DEFAULT_TRIALS = 80
 # the recovery programs a trial can run, in the order the CLI offers them
 SOLVERS = ("lasso", "bpdn")
+# random layouts averaged per core count when a sweep targets a visibility count
+VISIBILITY_PROBES = 256
 
 
 def _child_seed(master: int, *parts: int) -> np.random.SeedSequence:
@@ -193,22 +195,18 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def mean_visibility_count(
-    n1: int, q: int, seed, probes: int = 256
-) -> tuple[float, float]:
-    """Monte-Carlo mean and std of the distinct-visibility count at ``q``."""
+def mean_visibility_count(n1: int, q: int, seed) -> float:
+    """Monte-Carlo mean of the distinct-visibility count at ``q``."""
     grid = make_grid(1, n1, 1.0)
     base = np.random.SeedSequence((int(seed), q, 777))
     counts = [
         random_layout_1d(grid, q, s).distinct_visibilities
-        for s in base.spawn(probes)
+        for s in base.spawn(VISIBILITY_PROBES)
     ]
-    return float(np.mean(counts)), float(np.std(counts))
+    return float(np.mean(counts))
 
 
-def find_core_count_for_visibility_target(
-    n1: int, target: int, seed, probes: int = 256
-) -> tuple[int, float]:
+def find_core_count_for_visibility_target(n1: int, target: int, seed) -> tuple[int, float]:
     """Smallest-error core count whose mean distinct-visibility count
     brackets ``target``; returns ``(q, realized mean)``.
 
@@ -219,7 +217,7 @@ def find_core_count_for_visibility_target(
     prev: tuple[int, float] | None = None
     q = 2
     while q <= n1:
-        mean, _ = mean_visibility_count(n1, q, seed, probes)
+        mean = mean_visibility_count(n1, q, seed)
         if mean >= target:
             if prev is not None and abs(prev[1] - target) < abs(mean - target):
                 return prev

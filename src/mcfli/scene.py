@@ -80,18 +80,18 @@ def spikes_scene(grid: Grid, k: int, seed) -> SceneImage:
     return SceneImage(grid=grid, values=values.reshape(grid.shape))
 
 
-def rectangles_scene(grid: Grid, amplitude: float = 1.0) -> SceneImage:
+def rectangles_scene(grid: Grid) -> SceneImage:
     """Cartoon test scene made of two axis-aligned rectangles (2-D only)."""
     if grid.dim != 2:
         raise ValueError("rectangles_scene requires a 2-D grid")
     n = grid.n1
     values = np.zeros(grid.shape)
-    values[n // 8 : n // 2 - n // 16, n // 6 : n // 2] = amplitude
-    values[n // 2 + n // 16 : 7 * n // 8, n // 2 - n // 8 : 3 * n // 4] = 0.6 * amplitude
+    values[n // 8 : n // 2 - n // 16, n // 6 : n // 2] = 1.0
+    values[n // 2 + n // 16 : 7 * n // 8, n // 2 - n // 8 : 3 * n // 4] = 0.6
     return SceneImage(grid=grid, values=values)
 
 
-def bar_target_scene(grid: Grid, amplitude: float = 1.0) -> SceneImage:
+def bar_target_scene(grid: Grid) -> SceneImage:
     """Resolution-target cartoon: solid anchor blocks plus diagonal bar
     groups of four-pixel period (2-D only).
 
@@ -106,13 +106,13 @@ def bar_target_scene(grid: Grid, amplitude: float = 1.0) -> SceneImage:
         raise ValueError("bar_target_scene needs n1 to be a multiple of 64")
     s = n // 64  # feature scale relative to the 64-grid
     values = np.zeros(grid.shape)
-    values[8 * s : 24 * s, 6 * s : 26 * s] = amplitude
-    values[40 * s : 56 * s, 38 * s : 58 * s] = 0.6 * amplitude
+    values[8 * s : 24 * s, 6 * s : 26 * s] = 1.0
+    values[40 * s : 56 * s, 38 * s : 58 * s] = 0.6
     idx = np.arange(n)
     grating = ((idx[:, None] + idx[None, :]) % (4 * s)) < 2 * s
     for r0, r1, c0, c1, amp in (
-        (34, 54, 6, 26, amplitude),
-        (8, 28, 38, 58, 0.8 * amplitude),
+        (34, 54, 6, 26, 1.0),
+        (8, 28, 38, 58, 0.8),
     ):
         box = np.zeros(grid.shape, dtype=bool)
         box[r0 * s : r1 * s, c0 * s : c1 * s] = True

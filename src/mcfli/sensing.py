@@ -1,22 +1,22 @@
 """Forward operators of the sensing chain.
 
 The chain factors as: vignetted image -> interferometric matrix (one Fourier
-coefficient per core pair) -> symmetric rank-one projections against the
-sketching vectors -> mean-subtraction (debiasing).  The data is that one map,
-:meth:`CombinedOperator.forward`, which equals
-``debias(srop_forward(interferometric_matrix(...).data, sketches))``; a
-caller that wants noise adds it to the output.  The first map is written
-once, as :func:`image_to_matrix` (one FFT, then a gather of the visibility
-bins) with its exact adjoint :func:`matrix_to_image` (scatter, then one
-inverse FFT); the fused operator, its dense matrix and the raster scan all
-compose that pair, and :func:`interferometric_matrix` keeps the pixel-by-pixel
-``direct`` sum as the oracle.  The image reaches the measurements only
-through the bins the core pairs occupy, so the map factors through
-:func:`image_to_visibilities`, the isometry onto real coordinates of the
-spectrum at those bins (adjoint :func:`visibilities_to_image`):
-``CombinedOperator.as_matrix(basis="visibilities")`` is the dense factor on
-them, and :class:`VisibilityOperator` applies the map through it, with fewer
-columns than pixels whenever bins are left unoccupied.
+coefficient per core pair, a plain ``(q, q)`` complex array) -> symmetric
+rank-one projections against the sketching vectors -> mean-subtraction
+(debiasing).  The data is that one map, :meth:`CombinedOperator.forward`,
+which equals ``SropOperator(sketches, centered=True).forward(
+interferometric_matrix(scene, layout))``; a caller that wants noise adds it
+to the output.  The first map is written once, as :func:`image_to_matrix`
+(one FFT, then a gather of the visibility bins) with its exact adjoint
+:func:`matrix_to_image` (scatter, then one inverse FFT); the fused operator,
+its dense matrix and the raster scan all compose that pair.  The image
+reaches the measurements only through the bins the core pairs occupy, so the
+map factors through :func:`image_to_visibilities`, the isometry onto real
+coordinates of the spectrum at those bins (adjoint
+:func:`visibilities_to_image`): ``CombinedOperator.as_matrix(
+basis="visibilities")`` is the dense factor on them, and
+:class:`VisibilityOperator` applies the map through it, with fewer columns
+than pixels whenever bins are left unoccupied.
 
 Illumination has one model: a :class:`WavefieldSet` of per-core fields,
 whose speckle for a sketch ``alpha`` is ``|sum_q alpha_q E_q|^2``.  The set
@@ -24,8 +24,9 @@ owns the measurement model of its fields: ``sensing_matrix`` gives the raw
 single-pixel rows (the speckles times the pixel volume), and
 ``interferometric_matrix`` the cross-core overlaps whose rank-one projections
 are the same values.  The far-field plane waves at the cores' own frequencies
-are the set :func:`plane_wave_fields` builds, and their overlaps are the
-``direct`` oracle; the calibration perturbs and recovers the fields.
+are the set :func:`plane_wave_fields` builds, and their overlaps, summed
+pixel by pixel, are the direct oracle of :func:`interferometric_matrix`; the
+calibration perturbs and recovers the fields.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from functools import cached_property
 import numpy as np
 
 from .grid import Grid
-from .hermitian import HermitianMatrix
 from .layout import CoreLayout
 from .scene import SceneImage
 from .sketch import SketchBatch
@@ -87,31 +87,15 @@ def _spectra_to_images(grid: Grid, spectra: np.ndarray) -> np.ndarray:
     return np.real(image) * grid.fourier_scale
 
 
-def interferometric_matrix(
-    scene: SceneImage, layout: CoreLayout, path: str = "fft"
-) -> HermitianMatrix:
-    """The Hermitian matrix whose ``(j, k)`` entry is the vignetted image's
-    Fourier coefficient at the visibility of cores ``j`` and ``k``.
-
-    ``fft`` is :func:`image_to_matrix`; ``direct`` sums the image against the
-    plane waves pixel by pixel
-    (:meth:`WavefieldSet.interferometric_matrix` of :func:`plane_wave_fields`).
-    The two agree to machine precision whenever the layout visibilities are
-    on-grid; ``direct`` remains exact for off-grid layouts and serves as the
-    oracle.
-    """
+def interferometric_matrix(scene: SceneImage, layout: CoreLayout) -> np.ndarray:
+    """The ``(q, q)`` matrix whose ``(j, k)`` entry is the vignetted image's
+    Fourier coefficient at the visibility of cores ``j`` and ``k``
+    (:func:`image_to_matrix`).  On an on-grid layout it equals, to machine
+    precision, the direct pixel-by-pixel sum against the plane waves,
+    ``plane_wave_fields(layout).interferometric_matrix(scene.vignetted_values)``,
+    which stays exact off the grid and serves as the oracle."""
     _check_same_grid(scene, layout)
-    values = scene.vignetted_values
-    if path == "fft":
-        return HermitianMatrix(image_to_matrix(layout, values))
-    if path != "direct":
-        raise ValueError(f"unknown path {path!r}")
-    return plane_wave_fields(layout).interferometric_matrix(values)
-
-
-def interferometric_rank(scene: SceneImage, layout: CoreLayout) -> int:
-    """Numerical rank of the interferometric matrix of a spike scene."""
-    return interferometric_matrix(scene, layout, path="direct").numerical_rank()
+    return image_to_matrix(layout, scene.vignetted_values)
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +215,6 @@ class SropOperator:
         rows = (a[:, :, None] * self._alphas_conj[:, None, :]).view(np.float64)
         rows = rows.reshape(self.m, -1)
         return rows - rows.mean(axis=0) if self.centered else rows
-
-
-def srop_forward(matrix, sketches: SketchBatch) -> np.ndarray:
-    return SropOperator(sketches, centered=False).forward(matrix)
-
-
-def debias(y: np.ndarray) -> np.ndarray:
-    """Subtract the measurement mean; the result sums to zero."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.size < 1:
-        raise ValueError("need at least one measurement")
-    return y - y.mean()
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +391,7 @@ class WavefieldSet:
         speckles = self.predict_speckle(sketches.alphas).reshape(sketches.m, -1)
         return self.grid.pixel_volume * speckles
 
-    def interferometric_matrix(self, values: np.ndarray) -> HermitianMatrix:
+    def interferometric_matrix(self, values: np.ndarray) -> np.ndarray:
         """The cross-core overlaps weighted by a grid-shaped image:
         ``pixel_volume * sum_x conj(E_j(x)) f(x) E_k(x)``, over the masked
         pixels only.  Its rank-one projection against a sketch is the
@@ -431,7 +403,7 @@ class WavefieldSet:
             values = np.where(self.mask, values, 0.0)
         flat = self.fields.reshape(self.order, -1)
         weighted = flat.conj() * values.ravel()
-        return HermitianMatrix(self.grid.pixel_volume * (weighted @ flat.T))
+        return self.grid.pixel_volume * (weighted @ flat.T)
 
 
 def plane_wave_fields(layout: CoreLayout) -> WavefieldSet:
@@ -454,9 +426,8 @@ def rs_measure(scene: SceneImage, layout: CoreLayout, tilt) -> float:
     tilt = np.atleast_1d(np.asarray(tilt, dtype=np.float64))
     if np.any(np.abs(tilt) > layout.grid.fov / 2):
         raise ValueError("tilt falls outside the field of view")
-    mat = interferometric_matrix(scene, layout)
     gamma = rs_steering(layout, tilt)
-    val = gamma.conj() @ (mat.data @ gamma)
+    val = gamma.conj() @ (interferometric_matrix(scene, layout) @ gamma)
     return float(val.real)
 
 
@@ -464,4 +435,4 @@ def rs_scan(scene: SceneImage, layout: CoreLayout) -> np.ndarray:
     """Full raster scan over the grid: the image blurred by the array PSF."""
     grid = layout.grid
     mat = interferometric_matrix(scene, layout)
-    return matrix_to_image(layout, mat.data) * (np.sqrt(grid.n_points) / grid.fourier_scale)
+    return matrix_to_image(layout, mat) * (np.sqrt(grid.n_points) / grid.fourier_scale)

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..hermitian import HermitianMatrix
-
 PAIR_GAINS = (1.0 + 0.0j, -1.0j)
 
 
@@ -56,7 +54,7 @@ def nyquist_forward(matrix, q: int) -> np.ndarray:
     return vals.real
 
 
-def nyquist_recover(y: np.ndarray, q: int) -> HermitianMatrix:
+def nyquist_recover(y: np.ndarray, q: int) -> np.ndarray:
     """Invert the canonical measurements of a constant-diagonal Hermitian matrix."""
     y = np.asarray(y, dtype=np.float64)
     expected = nyquist_sketch_count(q)
@@ -79,7 +77,7 @@ def nyquist_recover(y: np.ndarray, q: int) -> HermitianMatrix:
         out[0, 1] = a + 1j * b
         out[1, 0] = a - 1j * b
         np.fill_diagonal(out, c)
-        return HermitianMatrix(out)
+        return out
 
     # the paired sums carry the off-diagonal entries plus a trace offset;
     # the all-ones sketch disentangles the trace
@@ -93,4 +91,4 @@ def nyquist_recover(y: np.ndarray, q: int) -> HermitianMatrix:
         out[j, k] = val
         out[k, j] = np.conj(val)
     np.fill_diagonal(out, c)
-    return HermitianMatrix(out)
+    return out

@@ -9,7 +9,6 @@ from mcfli import (
     WavefieldSet,
     draw_sketches,
     explicit_layout,
-    debias,
     fermat_spiral_layout,
     interferometric_matrix,
     make_grid,
@@ -20,7 +19,7 @@ from mcfli import (
     synth_fields,
 )
 from mcfli.calibration import _smooth_profile, speckle_cross_correlation
-from mcfli.sensing import plane_wave_fields, srop_forward
+from mcfli.sensing import SropOperator, plane_wave_fields
 
 
 def snapped_spiral(grid, q):
@@ -40,8 +39,7 @@ def test_farfield_fields_reproduce_projection(setup_2d):
     sk = draw_sketches(6, 5, seed=0)
     rng = np.random.default_rng(1)
     scene = SceneImage(grid=grid, values=rng.uniform(0, 1, grid.shape))
-    mat = interferometric_matrix(scene, layout)
-    y_srop = srop_forward(mat.data, sk)
+    y_srop = SropOperator(sk).forward(interferometric_matrix(scene, layout))
     for idx in range(sk.m):
         s = fields.predict_speckle(sk.alphas[idx])
         val = grid.pixel_volume * np.sum(s * scene.values)
@@ -93,8 +91,8 @@ def test_generalized_matrix_matches_interferometric(setup_2d):
     rng = np.random.default_rng(2)
     scene = SceneImage(grid=grid, values=rng.uniform(0, 1, grid.shape))
     # the snapped layout is on-grid, so the FFT path is an independent oracle
-    g_mat = fields.interferometric_matrix(scene.values).data
-    i_mat = interferometric_matrix(scene, layout).data
+    g_mat = fields.interferometric_matrix(scene.values)
+    i_mat = interferometric_matrix(scene, layout)
     assert np.linalg.norm(g_mat - i_mat) <= 1e-10 * np.linalg.norm(i_mat)
 
 
@@ -104,7 +102,7 @@ def test_generalized_matrix_hermitian_psd(setup_2d):
     rng = np.random.default_rng(4)
     scene = SceneImage(grid=grid, values=rng.uniform(0, 1, grid.shape))
     g_mat = fields.interferometric_matrix(scene.values)
-    w = np.linalg.eigvalsh(g_mat.data)
+    w = np.linalg.eigvalsh(g_mat)
     assert w.min() >= -1e-10 * np.abs(w).max()
 
 
@@ -112,9 +110,9 @@ def test_amplitude_ripple_bounded_model_deviation(setup_2d):
     grid, layout = setup_2d
     rng = np.random.default_rng(5)
     scene = SceneImage(grid=grid, values=rng.uniform(0, 1, grid.shape))
-    i_mat = interferometric_matrix(scene, layout, path="direct").data
+    i_mat = plane_wave_fields(layout).interferometric_matrix(scene.vignetted_values)
     fields = synth_fields(layout, perturbation=("amplitude-ripple", 0.05), seed=6)
-    g_mat = fields.interferometric_matrix(scene.values).data
+    g_mat = fields.interferometric_matrix(scene.values)
     rel = np.linalg.norm(g_mat - i_mat) / np.linalg.norm(i_mat)
     assert rel <= 0.15
 
@@ -133,7 +131,8 @@ def test_generalized_forward_matches_combined(setup_2d):
     fields = synth_fields(layout)
     sk = draw_sketches(6, 8, seed=8)
     scene = sparse_scene(grid, 5, seed=9, zero_mean=False)
-    z = debias(fields.sensing_matrix(sk) @ scene.values.ravel())
+    z = fields.sensing_matrix(sk) @ scene.values.ravel()
+    z -= z.mean()
     op = CombinedOperator(layout, sk)
     y = op.forward(scene.values)
     assert np.linalg.norm(z - y) <= 1e-6 * max(np.linalg.norm(y), 1e-300)
@@ -144,7 +143,8 @@ def test_generalized_forward_zero_scene(setup_2d):
     fields = synth_fields(layout)
     sk = draw_sketches(6, 4, seed=10)
     scene = SceneImage(grid=grid, values=np.zeros(grid.shape))
-    assert np.all(debias(fields.sensing_matrix(sk) @ scene.values.ravel()) == 0)
+    z = fields.sensing_matrix(sk) @ scene.values.ravel()
+    assert np.all(z - z.mean() == 0)
 
 
 @pytest.mark.parametrize(
@@ -165,7 +165,7 @@ def test_sensing_rows_are_projections_of_the_overlaps(setup_2d, case):
     sk = draw_sketches(6, 9, seed=15)
     f = np.random.default_rng(16).uniform(0, 1, grid.shape)
     y = fields.sensing_matrix(sk) @ f.ravel()
-    y_srop = srop_forward(fields.interferometric_matrix(f).data, sk)
+    y_srop = SropOperator(sk).forward(fields.interferometric_matrix(f))
     assert np.linalg.norm(y - y_srop) <= 1e-10 * np.linalg.norm(y_srop)
 
 
@@ -289,8 +289,9 @@ def test_forward_predictions_invariant_to_reference_phase():
     recovered = recover_fields(render_fringes(fields))
     sk = draw_sketches(5, 6, seed=7)
     scene = sparse_scene(grid, 4, seed=8, zero_mean=False)
-    z_true = debias(fields.sensing_matrix(sk) @ scene.values.ravel())
-    z_rec = debias(recovered.sensing_matrix(sk) @ scene.values.ravel())
+    z_true = fields.sensing_matrix(sk) @ scene.values.ravel()
+    z_rec = recovered.sensing_matrix(sk) @ scene.values.ravel()
+    z_true, z_rec = z_true - z_true.mean(), z_rec - z_rec.mean()
     assert np.allclose(z_rec, z_true, atol=1e-9 * max(np.abs(z_true).max(), 1e-300))
 
 

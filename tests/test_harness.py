@@ -156,8 +156,8 @@ def test_sweep_writes_csv(tmp_path):
 
 
 def test_visibility_targeting_monotone():
-    m1, _ = mean_visibility_count(256, 8, seed=0)
-    m2, _ = mean_visibility_count(256, 16, seed=0)
+    m1 = mean_visibility_count(256, 8, seed=0)
+    m2 = mean_visibility_count(256, 16, seed=0)
     assert m2 > m1
 
 

@@ -16,6 +16,9 @@
   test that needs it.  So is every public method or property of a public
   class under ``src/``: something in ``src/`` or ``perfbench/`` reads its
   name, or ``TEST_ONLY_API`` lists it as ``Class.name``.
+- The number of values a caller can set under ``src/`` (dataclass fields,
+  defaulted parameters and CLI flags) equals ``SETTABLE_VALUES``, so a change
+  that adds or removes one edits the constant on purpose.
 """
 
 from __future__ import annotations
@@ -243,10 +246,7 @@ TEST_ONLY_API = {
     "nyquist_recover": "criterion 3; test_nyquist",
     "nyquist_sketches": "nyquist_forward's sketches; test_nyquist",
     "nyquist_sketch_count": "nyquist_recover's check; test_nyquist",
-    "srop_forward": "criterion 7; the projection identities in test_sensing",
-    "debias": "test_sensing: the data equals debias(srop_forward(...))",
     "rs_measure": "the paper's raster-scanning mode; test_speckle_modes",
-    "interferometric_rank": "the rank claims in test_sensing",
     "explicit_layout": "criterion 1; hand-placed cores in test_layout, test_sensing",
     "delta_scene": "test_speckle_modes",
     "spikes_scene": "the rank claims in test_sensing",
@@ -358,3 +358,59 @@ def test_public_api_is_reached_or_listed():
     assert unlisted == [], f"public, reached only from tests: {unlisted}"
     stale = sorted(TEST_ONLY_API.keys() - test_only)
     assert stale == [], f"TEST_ONLY_API entries that are reached or not public: {stale}"
+
+
+# ---------------------------------------------------------------------------
+# settable values
+# ---------------------------------------------------------------------------
+
+# dataclass fields + defaulted parameters + add_argument calls under src/
+SETTABLE_VALUES = 65 + 42 + 31
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def settable_values(tree: ast.AST) -> tuple[int, int, int]:
+    """Dataclass fields, defaulted parameters and ``add_argument`` calls."""
+    fields = defaults = flags = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            fields += sum(isinstance(sub, ast.AnnAssign) for sub in node.body)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            defaults += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"
+        ):
+            flags += 1
+    return fields, defaults, flags
+
+
+def test_settable_value_scanner():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    x: int\n"
+        "    y: float = 1.0\n"
+        "    def f(self, a, b=2, *, c=None, d): pass\n"
+        "class B:\n"
+        "    z: int = 0\n"
+        "def g(p, q=lambda r=1: r): pass\n"
+        "parser.add_argument('--n', type=int)\n"
+    )
+    assert settable_values(ast.parse(source)) == (2, 4, 1)
+
+
+def test_settable_value_count():
+    counts = [settable_values(ast.parse(p.read_text())) for p in (ROOT / "src").rglob("*.py")]
+    assert sum(map(sum, counts)) == SETTABLE_VALUES

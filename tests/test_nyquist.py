@@ -18,7 +18,7 @@ def test_scaled_identity_recovered_exactly():
     for q in (2, 4, 6):
         truth = 3.25 * np.eye(q, dtype=complex)
         y = nyquist_forward(truth, q)
-        rec = nyquist_recover(y, q).data
+        rec = nyquist_recover(y, q)
         assert np.allclose(rec, truth, atol=1e-12)
 
 
@@ -27,11 +27,11 @@ def test_roundtrip_constant_diagonal(q):
     for trial in range(20):
         truth = random_hermitian(q, seed=100 * q + trial, constant_diagonal=None)
         # force a constant diagonal with a random level
-        data = truth.data.copy()
+        data = truth.copy()
         level = np.random.default_rng(trial).standard_normal()
         np.fill_diagonal(data, level)
         y = nyquist_forward(data, q)
-        rec = nyquist_recover(y, q).data
+        rec = nyquist_recover(y, q)
         err = np.linalg.norm(rec - data) / max(np.linalg.norm(data), 1e-300)
         assert err <= 1e-10
 
@@ -41,7 +41,7 @@ def test_minimal_case_q2_needs_three_measurements():
     truth = np.array([[1.5, 0.2 - 0.7j], [0.2 + 0.7j, 1.5]])
     y = nyquist_forward(truth, 2)
     assert y.shape == (3,)
-    rec = nyquist_recover(y, 2).data
+    rec = nyquist_recover(y, 2)
     assert np.allclose(rec, truth, atol=1e-12)
 
 
@@ -58,5 +58,5 @@ def test_recover_after_forward_is_identity_property():
             a = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
             h = 0.5 * (a + a.conj().T)
             np.fill_diagonal(h, rng.standard_normal())
-            rec = nyquist_recover(nyquist_forward(h, q), q).data
+            rec = nyquist_recover(nyquist_forward(h, q), q)
             assert np.linalg.norm(rec - h) <= 1e-10 * np.linalg.norm(h)

@@ -79,7 +79,7 @@ def test_grid_with_optical_constants_is_refused(key, tmp_path):
 
 
 def test_complex_matrix_binary_roundtrip(tmp_path):
-    h = random_hermitian(9, seed=5).data
+    h = random_hermitian(9, seed=5)
     path = tmp_path / "mat.cmat"
     write_complex_matrix(path, h)
     back = read_complex_matrix(path)

@@ -18,7 +18,7 @@ from mcfli import (
     sparse_scene,
     vignetted_snr,
 )
-from mcfli.sensing import SropOperator, srop_forward
+from mcfli.sensing import SropOperator
 from mcfli.solvers import (
     MatrixOperator,
     grad2d,
@@ -467,7 +467,7 @@ def rank_one_instance(q=6, m=24, seed=0):
     truth = np.outer(v, v.conj())
     sk = draw_sketches(q, m, seed=seed + 1)
     op = SropOperator(sk, centered=False)
-    return op, srop_forward(truth, sk), truth
+    return op, op.forward(truth), truth
 
 
 def test_trace_min_recovers_rank_one():
