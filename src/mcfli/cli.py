@@ -9,11 +9,13 @@ Subcommands::
     mcfli calibrate synthetic phase-shifting calibration round trip
 
 Every subcommand takes ``--seed <u64>``.  ``--out <path>`` is taken by
-``sweep``, ``rip``, ``demo`` and ``calibrate``; ``--config <json>`` by
-``trial`` and ``demo`` (a solver config) and ``sweep`` (a sweep spec); and
-``--threads <n>`` by ``sweep`` alone.  Each subcommand declares only the
-flags it reads, and ``sweep --config`` refuses the flags that set the spec,
-``--seed`` among them (a spec file gives its own ``master_seed``).
+``sweep``, ``rip``, ``demo`` and ``calibrate`` (``sweep`` and ``rip`` write
+to stdout without it); ``--config <json>`` (a solver config) by ``trial``
+and ``demo``; and ``--threads <n>`` by ``sweep`` alone.  Each subcommand
+declares only the flags it reads, and a flag that another one would make
+moot is refused beside it: ``sweep`` takes exactly one of ``--q`` and
+``--vis``, ``demo`` one of ``--scene`` and ``--n1``, and ``calibrate`` at
+most one of ``--amplitude-ripple`` and ``--phase-aberration``.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 
 from .harness import (
+    DEFAULT_N1,
+    DEFAULT_THRESHOLD_DB,
+    DEFAULT_TRIALS,
     SOLVERS,
     SweepSpec,
     estimate_rip_constants,
@@ -43,32 +47,23 @@ _SHARED_FLAGS = {
 }
 
 
-# the sweep flags that set a SweepSpec field (dest -> field); a spec from
-# --config sets them all, so none may be given beside it
-_SPEC_FLAGS = {
-    "k": "k_values",
-    "m": "m_values",
-    "q": "q_values",
-    "vis": "vis_targets",
-    "n1": "n1",
-    "trials": "trials",
-    "threshold": "threshold_db",
-    "solver": "solver",
-    "seed": "master_seed",
-}
-# CLI defaults of the two fields SweepSpec requires; the other flags left
-# out take SweepSpec's defaults (master_seed 0, as --seed elsewhere)
-_SWEEP_DEFAULTS = {"k_values": [4], "m_values": [44]}
-
-
-def _add_shared(parser, *flags, **overrides):
+def _add_shared(parser, *flags):
     for flag in flags:
-        parser.add_argument(flag, **{**_SHARED_FLAGS[flag], **overrides})
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def _load_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _write(text, path):
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_trial(args):
@@ -84,23 +79,19 @@ def _cmd_trial(args):
     return 0
 
 
-def _cmd_sweep(args, parser):
-    given = [dest for dest in _SPEC_FLAGS if dest in args]
-    if args.config:
-        if given:
-            parser.error(
-                "--config sets the sweep spec; drop " + ", ".join(f"--{d}" for d in given)
-            )
-        data = _load_json(args.config)
-        if args.out:
-            data["out_path"] = args.out
-        spec = SweepSpec(**data)
-    else:
-        fields = {_SPEC_FLAGS[dest]: getattr(args, dest) for dest in given}
-        spec = SweepSpec(**{**_SWEEP_DEFAULTS, **fields}, out_path=args.out)
-    result = run_sweep(spec, threads=args.threads)
-    if not spec.out_path:
-        sys.stdout.write(result.to_csv())
+def _cmd_sweep(args):
+    spec = SweepSpec(
+        k_values=args.k,
+        m_values=args.m,
+        q_values=args.q or [],
+        vis_targets=args.vis or [],
+        trials=args.trials,
+        threshold_db=args.threshold,
+        master_seed=args.seed,
+        solver=args.solver,
+        n1=args.n1,
+    )
+    _write(run_sweep(spec, threads=args.threads).to_csv(), args.out)
     return 0
 
 
@@ -116,12 +107,7 @@ def _cmd_rip(args):
         "visibilities": est.visibilities,
         "trials": est.trials,
     }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
@@ -151,8 +137,10 @@ def _cmd_demo(args):
 
 def _cmd_calibrate(args):
     perturbation = None
-    if args.perturbation:
-        perturbation = (args.perturbation, args.delta)
+    if args.amplitude_ripple is not None:
+        perturbation = ("amplitude-ripple", args.amplitude_ripple)
+    elif args.phase_aberration is not None:
+        perturbation = ("phase-aberration", args.phase_aberration)
     report = run_calibration_roundtrip(
         n1=args.n1,
         q=args.q,
@@ -174,41 +162,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n1", type=int, default=256)
-    p.add_argument("--solver", choices=SOLVERS, default="lasso")
-    p.add_argument("--threshold", type=float, default=40.0)
+    p.add_argument("--n1", type=int, default=DEFAULT_N1)
+    p.add_argument("--solver", choices=SOLVERS, default=SOLVERS[0])
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD_DB)
     _add_shared(p, "--seed", "--config")
     p.set_defaults(func=_cmd_trial)
 
     p = sub.add_parser("sweep", help="phase-transition sweep")
-    spec = p.add_argument_group(
-        "sweep spec", "not with --config", argument_default=argparse.SUPPRESS
-    )
-    spec.add_argument("--k", type=int, nargs="+", help="sparsity levels (default: 4)")
-    spec.add_argument("--m", type=int, nargs="+", help="measurement counts (default: 44)")
-    spec.add_argument("--q", type=int, nargs="+", help="core counts")
-    spec.add_argument("--vis", type=int, nargs="+",
-                      help="target distinct-visibility counts (instead of --q)")
-    spec.add_argument("--n1", type=int, help="grid size (default: 256)")
-    spec.add_argument("--trials", type=int, help="trials per cell (default: 80)")
-    spec.add_argument("--threshold", type=float, help="success SNR in dB (default: 40)")
-    spec.add_argument("--solver", choices=SOLVERS, help="recovery program (default: lasso)")
-    _add_shared(spec, "--seed", default=argparse.SUPPRESS)
-    _add_shared(p, "--out", "--threads", "--config")
-    p.set_defaults(func=partial(_cmd_sweep, parser=p))
+    p.add_argument("--k", type=int, nargs="+", default=[4], help="sparsity levels")
+    p.add_argument("--m", type=int, nargs="+", default=[44], help="measurement counts")
+    cores = p.add_mutually_exclusive_group(required=True)
+    cores.add_argument("--q", type=int, nargs="+", help="core counts")
+    cores.add_argument("--vis", type=int, nargs="+",
+                       help="target distinct-visibility counts")
+    p.add_argument("--n1", type=int, default=DEFAULT_N1, help="grid size")
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="trials per cell")
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD_DB,
+                   help="success SNR in dB")
+    p.add_argument("--solver", choices=SOLVERS, default=SOLVERS[0],
+                   help="recovery program")
+    _add_shared(p, "--seed", "--out", "--threads")
+    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("rip", help="empirical restricted-isometry constants")
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--q", type=int, default=16)
     p.add_argument("--m", type=int, default=122)
-    p.add_argument("--n1", type=int, default=256)
+    p.add_argument("--n1", type=int, default=DEFAULT_N1)
     p.add_argument("--trials", type=int, default=200)
     _add_shared(p, "--seed", "--out")
     p.set_defaults(func=_cmd_rip)
 
     p = sub.add_parser("demo", help="2-D imaging demo")
-    p.add_argument("--scene", type=str, default=None, help="scene JSON file")
-    p.add_argument("--n1", type=int, default=64)
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--scene", type=str, default=None,
+                      help="scene JSON file (its grid sets the size)")
+    grid.add_argument("--n1", type=int, default=64, help="grid size of the bar target")
     p.add_argument("--q", type=int, default=110)
     p.add_argument("--m", type=int, nargs="+", default=[3000])
     p.add_argument("--compare-q", type=int, nargs="+", default=None)
@@ -220,9 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=12)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--sketches", type=int, default=20)
-    p.add_argument("--perturbation", choices=("amplitude-ripple", "phase-aberration"),
-                   default=None)
-    p.add_argument("--delta", type=float, default=0.05)
+    kind = p.add_mutually_exclusive_group()
+    kind.add_argument("--amplitude-ripple", type=float, metavar="DELTA",
+                      help="smooth amplitude ripple of depth DELTA")
+    kind.add_argument("--phase-aberration", type=float, metavar="DELTA",
+                      help="smooth phase screen of DELTA rad")
     _add_shared(p, "--seed", "--out")
     p.set_defaults(func=_cmd_calibrate)
     return parser

@@ -14,7 +14,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -145,7 +145,6 @@ class SweepSpec:
     master_seed: int = 0
     solver: str = "lasso"
     n1: int = DEFAULT_N1
-    out_path: str | None = None
 
     def __post_init__(self):
         if not self.k_values or not self.m_values:
@@ -180,18 +179,13 @@ class SweepResult:
     cells: list[SweepCell]
 
     def to_csv(self) -> str:
-        header = (
-            "k,q,m,vis_target,trials,success_rate,mean_visibilities,"
-            "std_visibilities,mean_snr_db,mean_iterations"
+        """One row per cell under a header of the ``SweepCell`` field names;
+        an unset ``vis_target`` is an empty column."""
+        lines = [",".join(f.name for f in fields(SweepCell))]
+        lines.extend(
+            ",".join("" if v is None else str(v) for v in astuple(cell))
+            for cell in self.cells
         )
-        lines = [header]
-        for c in self.cells:
-            target = "" if c.vis_target is None else str(c.vis_target)
-            lines.append(
-                f"{c.k},{c.q},{c.m},{target},{c.trials},{c.success_rate!r},"
-                f"{c.mean_visibilities!r},{c.std_visibilities!r},"
-                f"{c.mean_snr_db!r},{c.mean_iterations!r}"
-            )
         return "\n".join(lines) + "\n"
 
 
@@ -282,11 +276,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
                 mean_iterations=float(iters.mean()),
             )
         )
-    result = SweepResult(spec=spec, cells=cells)
-    if spec.out_path:
-        with open(spec.out_path, "w") as fh:
-            fh.write(result.to_csv())
-    return result
+    return SweepResult(spec=spec, cells=cells)
 
 
 def transition_midpoint(x_values, rates) -> float | None:
@@ -367,15 +357,6 @@ def estimate_rip_constants(
             vals -= vals.mean()
         probes[support, t] = vals
     return _rip_extremes(op, probes)
-
-
-def rip_pair_extremes(q: int, m: int, seed, n1: int = 32) -> RipEstimate:
-    """Exact extremes over the exhaustive set of difference pairs
-    ``e_j - e_k`` (all zero-mean 2-sparse sign patterns of that form)."""
-    op, _ = _draw_operator(seed, q, m, n1)
-    j, k = np.triu_indices(op.n, 1)
-    identity = np.eye(op.n)
-    return _rip_extremes(op, identity[:, j] - identity[:, k])
 
 
 # ---------------------------------------------------------------------------
@@ -520,13 +501,13 @@ def run_calibration_roundtrip(
         os.makedirs(out_dir, exist_ok=True)
     grid = make_grid(2, n1, 1.0)
     layout = fermat_spiral_layout(grid, q)
-    fields = synth_fields(layout, perturbation=perturbation, seed=seed)
-    stack = render_fringes(fields, noise_sigma=noise_sigma, seed=seed + 1)
+    wavefields = synth_fields(layout, perturbation=perturbation, seed=seed)
+    stack = render_fringes(wavefields, noise_sigma=noise_sigma, seed=seed + 1)
     recovered = recover_fields(stack)
 
     sketches = draw_sketches(q, n_test_sketches, _child_seed(seed, q, n_test_sketches))
     predicted = recovered.predict_speckle(sketches.alphas)
-    true = fields.predict_speckle(sketches.alphas)
+    true = wavefields.predict_speckle(sketches.alphas)
     correlations = [speckle_cross_correlation(p, t) for p, t in zip(predicted, true)]
     report = {
         "n_frames": stack.n_frames,

@@ -2,9 +2,8 @@
 
 Entries are phase-only, so a batch holds the phases alone; the complex
 amplitudes ``exp(i * phase)`` are materialized once, on first use.
-:func:`draw_sketches` draws the phases uniform on ``[0, 2pi)``, optionally
-quantized to ``2**quant_bits`` levels to mimic the finite resolution of a
-phase modulator; the batch keeps no record of its seed or quantization.
+:func:`draw_sketches` draws the phases uniform on ``[0, 2pi)``; the batch
+keeps no record of its seed.
 """
 
 from __future__ import annotations
@@ -39,20 +38,10 @@ class SketchBatch:
         return alphas
 
 
-def draw_sketches(q: int, m: int, seed, quant_bits: int | None = None) -> SketchBatch:
-    """Draw ``m`` sketching vectors of length ``q`` with i.i.d. uniform phases.
-
-    With ``quant_bits`` set, phases live on the ``2**quant_bits``-level
-    lattice ``2 pi k / 2**quant_bits``.  Deterministic under a fixed seed.
-    """
+def draw_sketches(q: int, m: int, seed) -> SketchBatch:
+    """Draw ``m`` sketching vectors of length ``q`` with i.i.d. uniform
+    phases.  Deterministic under a fixed seed."""
     if m < 1 or q < 1:
         raise ValueError(f"need m >= 1 and q >= 1, got m={m}, q={q}")
     rng = np.random.default_rng(seed)
-    if quant_bits is None:
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(m, q))
-    else:
-        if quant_bits < 1:
-            raise ValueError(f"quant_bits must be >= 1, got {quant_bits}")
-        levels = 2**quant_bits
-        phases = rng.integers(0, levels, size=(m, q)) * (2.0 * np.pi / levels)
-    return SketchBatch(phases=phases)
+    return SketchBatch(phases=rng.uniform(0.0, 2.0 * np.pi, size=(m, q)))

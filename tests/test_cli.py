@@ -6,6 +6,7 @@ import pytest
 
 from mcfli import cli
 from mcfli.cli import main
+from mcfli.harness import SweepSpec
 
 
 def test_trial_command(capsys):
@@ -15,46 +16,77 @@ def test_trial_command(capsys):
     assert "snr_db=" in out and "success=" in out
 
 
-def test_sweep_command_writes_csv(tmp_path):
+def test_sweep_command_writes_csv(tmp_path, capsys):
+    # --out gets the bytes that stdout gets without it
+    argv = ["sweep", "--k", "2", "--m", "16", "--q", "8", "--trials", "2",
+            "--n1", "64", "--seed", "1"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
     out = tmp_path / "s.csv"
-    assert main([
-        "sweep", "--k", "2", "--m", "16", "--q", "8", "--trials", "2",
-        "--n1", "64", "--seed", "1", "--out", str(out),
-    ]) == 0
-    text = out.read_text()
-    assert text.startswith("k,q,m,")
-    assert len(text.strip().splitlines()) == 2
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
+    assert printed.startswith("k,q,m,")
+    assert len(printed.strip().splitlines()) == 2
 
 
-def test_sweep_command_from_config(tmp_path, capsys):
-    cfg = tmp_path / "spec.json"
-    cfg.write_text(json.dumps({
-        "k_values": [1], "m_values": [10], "q_values": [6],
-        "trials": 1, "n1": 64, "master_seed": 2,
-    }))
-    assert main(["sweep", "--config", str(cfg)]) == 0
-    assert capsys.readouterr().out.startswith("k,q,m,")
+SWEEP_FLAGS = [
+    (["--k", "8"], "k_values", [8]), (["--m", "99"], "m_values", [99]),
+    (["--q", "5"], "q_values", [5]), (["--vis", "20"], "vis_targets", [20]),
+    (["--n1", "32"], "n1", 32), (["--trials", "5"], "trials", 5),
+    (["--threshold", "30"], "threshold_db", 30.0),
+    (["--solver", "bpdn"], "solver", "bpdn"), (["--seed", "2"], "master_seed", 2),
+]
 
 
 @pytest.mark.parametrize(
-    "flag",
-    [["--k", "8"], ["--m", "99"], ["--q", "5"], ["--vis", "20"], ["--n1", "32"],
-     ["--trials", "5"], ["--threshold", "30"], ["--solver", "bpdn"], ["--seed", "2"]],
-    ids=lambda flag: flag[0],
+    "flag, field, value", SWEEP_FLAGS, ids=[flag[0] for flag, _, _ in SWEEP_FLAGS]
 )
-def test_sweep_config_refuses_spec_flags(flag, tmp_path, capsys):
-    # the spec file sets every cell, the solver and the trial count, so a
-    # spec flag beside it would be parsed and then ignored
-    cfg = tmp_path / "spec.json"
-    cfg.write_text(json.dumps({
-        "k_values": [1], "m_values": [10], "q_values": [6],
-        "trials": 1, "n1": 64,
-    }))
+def test_sweep_flags_set_spec(flag, field, value, monkeypatch):
+    # each flag sets its SweepSpec field, and a flag left out gives the
+    # field its harness default
+    specs = []
+    result = SimpleNamespace(to_csv=lambda: "")
+    monkeypatch.setattr(cli, "run_sweep", lambda spec, threads: specs.append(spec) or result)
+    cores = {} if field in ("q_values", "vis_targets") else {"q_values": [4]}
+    assert main(["sweep", *(["--q", "4"] if cores else []), *flag]) == 0
+    assert specs == [SweepSpec(**{"k_values": [4], "m_values": [44], **cores, field: value})]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [(["sweep", "--k", "2"], "one of the arguments --q --vis is required"),
+     (["sweep", "--q", "4", "--vis", "20"], "not allowed with argument"),
+     (["sweep", "--q", "6", "--config", "spec.json"], "unrecognized arguments: --config"),
+     (["demo", "--scene", "scene.json", "--n1", "32"], "not allowed with argument"),
+     (["calibrate", "--delta", "0.3"], "unrecognized arguments: --delta"),
+     (["calibrate", "--amplitude-ripple", "0.1", "--phase-aberration", "0.3"],
+      "not allowed with argument")],
+    ids=["sweep-no-cores", "sweep-q-and-vis", "sweep-config", "demo-scene-and-n1",
+         "calibrate-delta", "calibrate-two-kinds"],
+)
+def test_moot_or_missing_flags_exit_2(argv, error, capsys):
+    # a flag that would be parsed and then ignored, or a missing one that
+    # would surface as a traceback, is a usage error; no file is opened
     with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--config", str(cfg), *flag])
+        main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert flag[0] in captured.err and captured.out == ""
+    assert error in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flag, perturbation",
+    [([], None),
+     (["--amplitude-ripple", "0.1"], ("amplitude-ripple", 0.1)),
+     (["--phase-aberration", "0.3"], ("phase-aberration", 0.3))],
+    ids=["none", "amplitude-ripple", "phase-aberration"],
+)
+def test_calibrate_perturbation_flags(flag, perturbation, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_calibration_roundtrip", lambda **kw: calls.append(kw) or {})
+    assert main(["calibrate", *flag]) == 0
+    assert [kw["perturbation"] for kw in calls] == [perturbation]
 
 
 def test_malformed_config_raises_decode_error(tmp_path):
@@ -130,7 +162,7 @@ def test_every_flag_is_read(command, tmp_path, monkeypatch, capsys):
         "sweep": ["--q", "4", "--out", str(tmp_path / "s.csv")],
         "rip": ["--out", str(tmp_path / "rip.json")],
         "demo": ["--out", str(tmp_path), "--config", str(cfg)],
-        "calibrate": ["--perturbation", "phase-aberration", "--out", str(tmp_path)],
+        "calibrate": ["--phase-aberration", "0.3", "--out", str(tmp_path)],
     }[command]
     args, reads = _recording_namespace()
     cli.build_parser().parse_args([command, *argv], namespace=args)
