@@ -36,14 +36,12 @@ from .sensing import (
     WavefieldSet,
     interferometric_matrix,
     plane_wave_fields,
-    rs_measure,
     rs_scan,
 )
-from .sketch import SketchBatch, draw_sketches
+from .sketch import draw_sketches
 from .solvers import (
     RecoveryResult,
     SolverConfig,
-    nyquist_forward,
     nyquist_recover,
     nyquist_sketches,
     solve_bpdn_l1,
@@ -63,7 +61,6 @@ __all__ = [
     "fermat_spiral_layout",
     "explicit_layout",
     "downsample_layout",
-    "SketchBatch",
     "draw_sketches",
     "SceneImage",
     "sparse_scene",
@@ -77,7 +74,6 @@ __all__ = [
     "SropOperator",
     "CombinedOperator",
     "interferometric_matrix",
-    "rs_measure",
     "rs_scan",
     "WavefieldSet",
     "plane_wave_fields",
@@ -92,7 +88,6 @@ __all__ = [
     "solve_trace_min_psd",
     "solve_tv_nonneg",
     "nyquist_sketches",
-    "nyquist_forward",
     "nyquist_recover",
     "vignetted_snr",
 ]

@@ -15,7 +15,8 @@ and ``demo``; and ``--threads <n>`` by ``sweep`` alone.  Each subcommand
 declares only the flags it reads, and a flag that another one would make
 moot is refused beside it: ``sweep`` takes exactly one of ``--q`` and
 ``--vis``, ``demo`` one of ``--scene`` and ``--n1``, and ``calibrate`` at
-most one of ``--amplitude-ripple`` and ``--phase-aberration``.
+most one of ``--amplitude-ripple`` and ``--phase-aberration``.  A ``sweep``
+value that ``SweepSpec`` rejects is a usage error too, before any trial runs.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .harness import (
     DEFAULT_N1,
@@ -79,18 +81,21 @@ def _cmd_trial(args):
     return 0
 
 
-def _cmd_sweep(args):
-    spec = SweepSpec(
-        k_values=args.k,
-        m_values=args.m,
-        q_values=args.q or [],
-        vis_targets=args.vis or [],
-        trials=args.trials,
-        threshold_db=args.threshold,
-        master_seed=args.seed,
-        solver=args.solver,
-        n1=args.n1,
-    )
+def _cmd_sweep(args, parser):
+    try:
+        spec = SweepSpec(
+            k_values=args.k,
+            m_values=args.m,
+            q_values=args.q or [],
+            vis_targets=args.vis or [],
+            trials=args.trials,
+            threshold_db=args.threshold,
+            master_seed=args.seed,
+            solver=args.solver,
+            n1=args.n1,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     _write(run_sweep(spec, threads=args.threads).to_csv(), args.out)
     return 0
 
@@ -182,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=SOLVERS, default=SOLVERS[0],
                    help="recovery program")
     _add_shared(p, "--seed", "--out", "--threads")
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=partial(_cmd_sweep, parser=p))
 
     p = sub.add_parser("rip", help="empirical restricted-isometry constants")
     p.add_argument("--k", type=int, default=4)

@@ -155,6 +155,8 @@ class SweepSpec:
             raise ValueError("trials must be >= 1")
         if self.threshold_db <= 0:
             raise ValueError("threshold must be positive")
+        if max(self.k_values) > self.n1:
+            raise ValueError(f"k={max(self.k_values)} exceeds the grid size {self.n1}")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
 
@@ -412,15 +414,15 @@ def run_imaging_demo(
     graymaps, binary arrays and a JSON report when ``out_dir`` is set.  Also
     images the scene in raster-scanning mode for comparison.
     """
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-    grid = make_grid(2, n1, 1.0)
     if scene_path is not None:
         with open(scene_path) as fh:
             scene = scene_from_json(fh.read())
         grid = scene.grid
     else:
+        grid = make_grid(2, n1, 1.0)
         scene = bar_target_scene(grid)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     truth = scene.values
     m_values = m_values or [3000]
     config = config or SolverConfig(max_iterations=1500, tol=1e-7)
@@ -506,8 +508,8 @@ def run_calibration_roundtrip(
     recovered = recover_fields(stack)
 
     sketches = draw_sketches(q, n_test_sketches, _child_seed(seed, q, n_test_sketches))
-    predicted = recovered.predict_speckle(sketches.alphas)
-    true = wavefields.predict_speckle(sketches.alphas)
+    predicted = recovered.predict_speckle(sketches)
+    true = wavefields.predict_speckle(sketches)
     correlations = [speckle_cross_correlation(p, t) for p, t in zip(predicted, true)]
     report = {
         "n_frames": stack.n_frames,

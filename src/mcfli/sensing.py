@@ -9,7 +9,9 @@ interferometric_matrix(scene, layout))``; a caller that wants noise adds it
 to the output.  The first map is written once, as :func:`image_to_matrix`
 (one FFT, then a gather of the visibility bins) with its exact adjoint
 :func:`matrix_to_image` (scatter, then one inverse FFT); the fused operator,
-its dense matrix and the raster scan all compose that pair.  The image
+its dense matrix and the raster scan all compose that pair.  A sketch set is
+a complex ``(m, q)`` array, whose quadratic forms :class:`SropOperator` alone
+takes.  The image
 reaches the measurements only through the bins the core pairs occupy, so the
 map factors through :func:`image_to_visibilities`, the isometry onto real
 coordinates of the spectrum at those bins (adjoint
@@ -39,7 +41,6 @@ import numpy as np
 from .grid import Grid
 from .layout import CoreLayout
 from .scene import SceneImage
-from .sketch import SketchBatch
 from .solvers.linop import MatrixOperator, operator_norm
 
 # imaginary residue allowed when casting SROP outputs to real, relative to
@@ -149,37 +150,34 @@ def visibilities_to_image(layout: CoreLayout, coords: np.ndarray) -> np.ndarray:
 class SropOperator:
     """Hermitian matrix -> real measurements through rank-one sketches.
 
-    ``forward`` computes the quadratic forms of the matrix against each
-    sketching vector; with ``centered=True`` the measurement mean is
+    ``forward`` computes the quadratic forms ``a^H H a`` of the matrix against
+    each row ``a`` of the complex ``(m, q)`` sketch array (random, Nyquist
+    pairs or raster steering); with ``centered=True`` the measurement mean is
     subtracted, which makes the map blind to the matrix diagonal (unit-modulus
-    sketches put identical weight on every diagonal entry).  The sketch
-    matrix is cached on the batch and its conjugate here on first use, so
-    repeated calls (one forward and one adjoint per solver iteration) build
-    neither again.  ``as_matrix`` gives the same map as a dense real matrix
-    on the float64 view of the Hermitian matrix.
+    sketches put identical weight on every diagonal entry).  The conjugate
+    sketches are cached on first use, so repeated calls (one forward and one
+    adjoint per solver iteration) do not build them again.  ``as_matrix``
+    gives the same map as a dense real matrix on the float64 view of the
+    Hermitian matrix.
     """
 
-    def __init__(self, sketches: SketchBatch, centered: bool = False):
+    def __init__(self, sketches: np.ndarray, centered: bool = False):
+        sketches = np.asarray(sketches, dtype=np.complex128)
+        if sketches.ndim != 2:
+            raise ValueError(f"expected an (m, q) sketch array, got shape {sketches.shape}")
         self.sketches = sketches
         self.centered = centered
+        self.m, self.q = sketches.shape
 
     @cached_property
-    def _alphas_conj(self) -> np.ndarray:
-        return self.sketches.alphas.conj()
-
-    @property
-    def m(self) -> int:
-        return self.sketches.m
-
-    @property
-    def q(self) -> int:
-        return self.sketches.q
+    def _sketches_conj(self) -> np.ndarray:
+        return self.sketches.conj()
 
     def forward(self, matrix) -> np.ndarray:
         h = np.asarray(matrix, dtype=np.complex128)
         if h.shape != (self.q, self.q):
             raise ValueError(f"expected a {self.q}x{self.q} matrix, got {h.shape}")
-        y = np.einsum("mq,mq->m", self._alphas_conj, self.sketches.alphas @ h.T)
+        y = np.einsum("mq,mq->m", self._sketches_conj, self.sketches @ h.T)
         scale = max(np.linalg.norm(h), np.finfo(float).tiny)
         residue = np.abs(y.imag).max()
         if residue > IMAG_RESIDUE_RTOL * scale:
@@ -199,7 +197,7 @@ class SropOperator:
             raise ValueError(f"expected {self.m} weights, got shape {z.shape}")
         if self.centered:
             z = z - z.mean()
-        return (self.sketches.alphas.T * z) @ self._alphas_conj
+        return (self.sketches.T * z) @ self._sketches_conj
 
     def as_matrix(self) -> np.ndarray:
         """Dense real ``(m, 2 q^2)`` matrix of the map.
@@ -211,8 +209,8 @@ class SropOperator:
         The rows lie in the Hermitian subspace, so the matrix has the map's
         norm.
         """
-        a = self.sketches.alphas
-        rows = (a[:, :, None] * self._alphas_conj[:, None, :]).view(np.float64)
+        a = self.sketches
+        rows = (a[:, :, None] * self._sketches_conj[:, None, :]).view(np.float64)
         rows = rows.reshape(self.m, -1)
         return rows - rows.mean(axis=0) if self.centered else rows
 
@@ -232,24 +230,21 @@ class CombinedOperator:
     or as its ``(m, D)`` factor on the ``D`` visibility coordinates.
     """
 
-    def __init__(self, layout: CoreLayout, sketches: SketchBatch):
-        if sketches.q != layout.order:
+    def __init__(self, layout: CoreLayout, sketches: np.ndarray):
+        self.srop = SropOperator(sketches, centered=True)
+        if self.srop.q != layout.order:
             raise ValueError(
-                f"sketch length {sketches.q} != number of cores {layout.order}"
+                f"sketch length {self.srop.q} != number of cores {layout.order}"
             )
         self.layout = layout
         self.grid = layout.grid
-        self.sketches = sketches
-        self.srop = SropOperator(sketches, centered=True)
+        self.sketches = self.srop.sketches
+        self.m = self.srop.m
         self._dense: dict[str, np.ndarray] = {}
 
     @property
     def n(self) -> int:
         return self.grid.n_points
-
-    @property
-    def m(self) -> int:
-        return self.sketches.m
 
     def _shaped(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -307,11 +302,10 @@ class CombinedOperator:
     def _scattered_outer_products(self):
         """Yield ``(start, spectra)``: the scattered outer products of the
         sketches from ``start`` on, a chunk at a time."""
-        alphas = self.sketches.alphas
-        q = self.sketches.q
+        q = self.srop.q
         chunk = max(1, AS_MATRIX_CHUNK_BYTES // (16 * max(q * q, self.n)))
         for start in range(0, self.m, chunk):
-            a = alphas[start : start + chunk]
+            a = self.sketches[start : start + chunk]
             yield start, self.layout.scatter(a[:, :, None] * a.conj()[:, None, :])
 
 
@@ -382,13 +376,14 @@ class WavefieldSet:
             out = np.where(self.mask, out, 0.0)
         return out
 
-    def sensing_matrix(self, sketches: SketchBatch) -> np.ndarray:
-        """Raw ``(m, n)`` measurement rows: row ``i`` is the speckle of
-        sketch ``i`` (:meth:`predict_speckle`) times the pixel volume, so its
-        product with a flat image gives the raw single-pixel values."""
-        if sketches.q != self.order:
-            raise ValueError(f"sketch length {sketches.q} != number of fields {self.order}")
-        speckles = self.predict_speckle(sketches.alphas).reshape(sketches.m, -1)
+    def sensing_matrix(self, sketches: np.ndarray) -> np.ndarray:
+        """Raw ``(m, n)`` measurement rows of an ``(m, q)`` sketch array: row
+        ``i`` is the speckle of sketch ``i`` (:meth:`predict_speckle`) times
+        the pixel volume, so its product with a flat image gives the raw
+        single-pixel values."""
+        if np.ndim(sketches) != 2 or np.shape(sketches)[1] != self.order:
+            raise ValueError(f"expected (m, {self.order}) sketches, got {np.shape(sketches)}")
+        speckles = self.predict_speckle(sketches).reshape(len(sketches), -1)
         return self.grid.pixel_volume * speckles
 
     def interferometric_matrix(self, values: np.ndarray) -> np.ndarray:
@@ -415,24 +410,15 @@ def plane_wave_fields(layout: CoreLayout) -> WavefieldSet:
     return WavefieldSet(grid=grid, fields=waves.T.reshape(layout.order, *grid.shape))
 
 
-def rs_steering(layout: CoreLayout, tilt: np.ndarray) -> np.ndarray:
-    """Beamforming sketch that translates the focused spot to ``tilt``."""
-    tilt = np.atleast_1d(np.asarray(tilt, dtype=np.float64))
-    return np.exp(-2j * np.pi * (layout.core_frequencies @ tilt))
-
-
-def rs_measure(scene: SceneImage, layout: CoreLayout, tilt) -> float:
-    """Single raster-scanning observation with the beam tilted to ``tilt``."""
-    tilt = np.atleast_1d(np.asarray(tilt, dtype=np.float64))
-    if np.any(np.abs(tilt) > layout.grid.fov / 2):
-        raise ValueError("tilt falls outside the field of view")
-    gamma = rs_steering(layout, tilt)
-    val = gamma.conj() @ (interferometric_matrix(scene, layout) @ gamma)
-    return float(val.real)
-
-
 def rs_scan(scene: SceneImage, layout: CoreLayout) -> np.ndarray:
-    """Full raster scan over the grid: the image blurred by the array PSF."""
+    """Full raster scan over the grid: the image blurred by the array PSF.
+
+    It is the SROP of the steering sketches ``S[t] = exp(-2i pi
+    core_frequencies @ x_t)``, one beam focused on each grid point ``x_t``,
+    in closed form: on a lattice layout the flat scan equals
+    ``SropOperator(S).forward(interferometric_matrix(scene, layout))`` to
+    rounding, and off it the scan is the snapped model's.
+    """
     grid = layout.grid
     mat = interferometric_matrix(scene, layout)
     return matrix_to_image(layout, mat) * (np.sqrt(grid.n_points) / grid.fourier_scale)

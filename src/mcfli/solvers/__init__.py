@@ -7,7 +7,6 @@ from .lasso import solve_lasso
 from .linop import MatrixOperator, as_operator, operator_norm
 from .metrics import vignetted_snr
 from .nyquist import (
-    nyquist_forward,
     nyquist_recover,
     nyquist_sketch_count,
     nyquist_sketches,
@@ -38,7 +37,6 @@ __all__ = [
     "solve_bpdn_l1",
     "solve_trace_min_psd",
     "solve_tv_nonneg",
-    "nyquist_forward",
     "nyquist_recover",
     "nyquist_sketch_count",
     "nyquist_sketches",

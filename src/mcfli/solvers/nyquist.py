@@ -23,7 +23,9 @@ def nyquist_sketch_count(q: int) -> int:
 
 
 def nyquist_sketches(q: int) -> np.ndarray:
-    """The canonical deterministic sketch set, shape ``(q*(q-1)+1, q)``.
+    """The canonical deterministic sketch set, a complex ``(q*(q-1)+1, q)``
+    array; ``SropOperator(nyquist_sketches(q)).forward(h)`` gives the
+    measurements :func:`nyquist_recover` inverts.
 
     Order: for each pair ``j < k`` (lexicographic), the gain-1 then gain``-i``
     vectors ``e_j + gain * e_k``; the all-ones vector last.
@@ -44,14 +46,6 @@ def nyquist_sketches(q: int) -> np.ndarray:
         closing = np.ones(q, dtype=np.complex128)
     vectors.append(closing)
     return np.asarray(vectors)
-
-
-def nyquist_forward(matrix, q: int) -> np.ndarray:
-    """Quadratic measurements of ``matrix`` under the canonical sketch set."""
-    h = np.asarray(matrix, dtype=np.complex128)
-    sk = nyquist_sketches(q)
-    vals = np.einsum("mq,qk,mk->m", sk.conj(), h, sk)
-    return vals.real
 
 
 def nyquist_recover(y: np.ndarray, q: int) -> np.ndarray:

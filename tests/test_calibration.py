@@ -40,8 +40,8 @@ def test_farfield_fields_reproduce_projection(setup_2d):
     rng = np.random.default_rng(1)
     scene = SceneImage(grid=grid, values=rng.uniform(0, 1, grid.shape))
     y_srop = SropOperator(sk).forward(interferometric_matrix(scene, layout))
-    for idx in range(sk.m):
-        s = fields.predict_speckle(sk.alphas[idx])
+    for idx in range(len(sk)):
+        s = fields.predict_speckle(sk[idx])
         val = grid.pixel_volume * np.sum(s * scene.values)
         assert val == pytest.approx(y_srop[idx], rel=1e-8)
 
@@ -239,7 +239,7 @@ def test_noiseless_roundtrip_exact():
     fields = synth_fields(layout, perturbation=("phase-aberration", 0.4), seed=2)
     recovered = recover_fields(render_fringes(fields))
     sk = draw_sketches(6, 20, seed=3)
-    for alpha in sk.alphas:
+    for alpha in sk:
         corr = speckle_cross_correlation(
             recovered.predict_speckle(alpha), fields.predict_speckle(alpha)
         )
@@ -302,7 +302,7 @@ def test_noisy_roundtrip():
     stack = render_fringes(fields, noise_sigma=0.01, seed=10)
     recovered = recover_fields(stack)
     sk = draw_sketches(6, 20, seed=11)
-    for alpha in sk.alphas:
+    for alpha in sk:
         corr = speckle_cross_correlation(
             recovered.predict_speckle(alpha), fields.predict_speckle(alpha)
         )

@@ -76,6 +76,33 @@ def test_moot_or_missing_flags_exit_2(argv, error, capsys):
 
 
 @pytest.mark.parametrize(
+    "flags, error",
+    [(["--trials", "0"], "trials must be >= 1"),
+     (["--threshold=-5"], "threshold must be positive"),
+     (["--k", "300", "--n1", "256", "--threads", "2"], "k=300 exceeds the grid size 256")],
+    ids=["trials-0", "negative-threshold", "k-above-n1"],
+)
+def test_sweep_values_the_spec_rejects_exit_2(flags, error, monkeypatch, capsys):
+    # a value the sweep spec refuses is a usage error, raised before any
+    # trial runs (and so never inside a worker process)
+    calls = []
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: calls.append(a))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--q", "4", *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"mcfli sweep: error: {error}" in captured.err and captured.out == ""
+    assert calls == []
+
+
+def test_demo_with_missing_scene_creates_no_directory(tmp_path):
+    out = tmp_path / "d"
+    with pytest.raises(FileNotFoundError):
+        main(["demo", "--scene", str(tmp_path / "missing.json"), "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "flag, perturbation",
     [([], None),
      (["--amplitude-ripple", "0.1"], ("amplitude-ripple", 0.1)),

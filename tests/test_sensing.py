@@ -47,11 +47,10 @@ def srop_centered_forward(matrix, sketches):
     matrices (the slow, explicit path; coincides with the centred ``SropOperator``).
     """
     h = np.asarray(matrix, dtype=np.complex128)
-    alphas = sketches.alphas
-    avg = (alphas.T @ alphas.conj()) / sketches.m  # mean of the outer products
-    out = np.empty(sketches.m)
-    for m_idx in range(sketches.m):
-        a = alphas[m_idx]
+    avg = (sketches.T @ sketches.conj()) / len(sketches)  # mean of the outer products
+    out = np.empty(len(sketches))
+    for m_idx in range(len(sketches)):
+        a = sketches[m_idx]
         centered = np.outer(a, a.conj()) - avg
         val = np.sum(centered.conj() * h)
         out[m_idx] = val.real
@@ -196,7 +195,7 @@ def test_quadratic_form_matches_double_loop():
     sk = draw_sketches(q, 1, seed=3)
     h = random_hermitian(q, seed=4)
     y = SropOperator(sk).forward(h)[0]
-    a = sk.alphas[0]
+    a = sk[0]
     acc = 0.0 + 0.0j
     for j in range(q):
         for k in range(q):
@@ -210,6 +209,17 @@ def test_non_hermitian_input_rejected():
     bad = np.arange(16.0).reshape(4, 4) + 1j
     with pytest.raises(ValueError):
         SropOperator(sk).forward(bad)
+
+
+def test_sketch_arrays_must_be_two_dimensional():
+    # a single sketch is a (1, q) array; a bare (q,) vector is refused, not
+    # read as q sketches of length one
+    sk = draw_sketches(4, 3, seed=5)
+    fields = plane_wave_fields(random_layout_1d(make_grid(1, 32, 1.0), 4, seed=0))
+    with pytest.raises(ValueError):
+        SropOperator(sk[0])
+    with pytest.raises(ValueError):
+        fields.sensing_matrix(sk[0])
 
 
 def test_centered_forward_kills_diagonal():
@@ -264,9 +274,8 @@ def test_lemma1_second_moment_identity():
     op = SropOperator(sk, centered=False)
     y = op.forward(j_mat)
     recon = op.adjoint(y) / m
-    alphas = sk.alphas
     # entrywise standard error of the averaged summand
-    summand = (alphas.T[:, None, :] * alphas.conj().T[None, :, :]) * y[None, None, :]
+    summand = (sk.T[:, None, :] * sk.conj().T[None, :, :]) * y[None, None, :]
     se = summand.std(axis=2, ddof=1) / np.sqrt(m)
     diff = np.abs(recon - j_mat)
     mask = ~np.eye(q, dtype=bool)
@@ -355,7 +364,7 @@ def per_row_dense(op):
     one ``np.add.at`` scatter and one inverse FFT per row."""
     grid, bins = op.grid, op.layout.bin_map.ravel()
     rows = np.empty((op.m, op.n))
-    for i, a in enumerate(op.sketches.alphas):
+    for i, a in enumerate(op.sketches):
         spectrum = np.zeros(grid.n_points, dtype=np.complex128)
         np.add.at(spectrum, bins, np.outer(a, a.conj()).ravel())
         image = np.fft.fftshift(np.fft.ifftn(spectrum.reshape(grid.shape)))

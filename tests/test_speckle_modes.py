@@ -11,13 +11,12 @@ from mcfli import (
     interferometric_matrix,
     make_grid,
     random_layout_1d,
-    rs_measure,
     plane_wave_fields,
     rs_scan,
     sparse_scene,
     zeros_scene,
 )
-from mcfli.sensing import SropOperator, rs_steering
+from mcfli.sensing import SropOperator
 
 
 def snapped_spiral(grid, q):
@@ -45,7 +44,7 @@ def test_speckle_nonnegative():
     g = make_grid(2, 16, 1.0)
     lay = fermat_spiral_layout(g, 7)
     sk = draw_sketches(7, 3, seed=0)
-    for alpha in sk.alphas:
+    for alpha in sk:
         field = plane_wave_fields(lay).predict_speckle(alpha)
         assert field.min() >= 0
 
@@ -58,7 +57,7 @@ def test_speckle_projection_consistency():
     sk = draw_sketches(8, 6, seed=4)
     scene = sparse_scene(g, 6, seed=5, zero_mean=False)
     y_srop = SropOperator(sk).forward(interferometric_matrix(scene, lay))
-    for idx, alpha in enumerate(sk.alphas):
+    for idx, alpha in enumerate(sk):
         field = plane_wave_fields(lay).predict_speckle(alpha)
         y_field = g.pixel_volume * np.sum(field * scene.values)
         assert y_field == pytest.approx(y_srop[idx], rel=1e-8)
@@ -69,12 +68,35 @@ def test_speckle_projection_consistency():
 # ---------------------------------------------------------------------------
 
 
+def steering_sketches(layout):
+    """One beamforming sketch per grid point ``x_t``, in the scan's pixel
+    order: ``exp(-2i pi nu . x_t)`` focuses the beam on ``x_t``."""
+    return np.exp(-2j * np.pi * (layout.grid.points() @ layout.core_frequencies.T))
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [lambda: random_layout_1d(make_grid(1, 256, 1.0), 26, seed=11),
+     lambda: snapped_spiral(make_grid(2, 64, 1.0), 110)],
+    ids=["1d-comb", "snapped-spiral"],
+)
+def test_rs_scan_is_the_srop_of_steering_sketches(layout):
+    # raster scanning is a sensing mode of the SROP scheme: the scan is the
+    # projection of the interferometric matrix against the steering sketches
+    lay = layout()
+    rng = np.random.default_rng(12)
+    scene = SceneImage(grid=lay.grid, values=rng.uniform(0, 1, lay.grid.shape))
+    srop = SropOperator(steering_sketches(lay)).forward(interferometric_matrix(scene, lay))
+    scan = rs_scan(scene, lay).ravel()
+    assert np.linalg.norm(scan - srop) <= 1e-13 * np.linalg.norm(srop)
+
+
 def test_rs_at_origin_on_delta_scene():
     g = make_grid(1, 128, 1.0)
     lay = random_layout_1d(g, 7, seed=6)
     amp = 2.0
     scene = delta_scene(g, amplitude=amp)
-    val = rs_measure(scene, lay, 0.0)
+    val = rs_scan(scene, lay)[g.n1 // 2]
     # direct beam-pattern evaluation at the spike
     field = plane_wave_fields(lay).predict_speckle(np.ones(7, complex))
     expect = g.pixel_volume * amp * field[g.n1 // 2]
@@ -98,25 +120,10 @@ def test_rs_translation_identity():
     lay = random_layout_1d(g, 6, seed=8)
     scene = sparse_scene(g, 5, seed=9, zero_mean=False)
     shift_pixels = 7
-    tilt = shift_pixels * g.pixel_pitch
     translated = SceneImage(grid=g, values=np.roll(scene.values, -shift_pixels))
-    lhs = rs_measure(scene, lay, tilt)
-    rhs = rs_measure(translated, lay, 0.0)
-    assert lhs == pytest.approx(rhs, rel=1e-8)
-
-
-def test_rs_steering_is_unit_modulus():
-    g = make_grid(2, 32, 1.0)
-    lay = fermat_spiral_layout(g, 5)
-    gam = rs_steering(lay, np.array([0.1, -0.2]))
-    assert np.allclose(np.abs(gam), 1.0, atol=1e-12)
-
-
-def test_rs_tilt_outside_fov_rejected():
-    g = make_grid(1, 64, 1.0)
-    lay = random_layout_1d(g, 4, seed=0)
-    with pytest.raises(ValueError):
-        rs_measure(zeros_scene(g), lay, 0.6)
+    lhs = np.roll(rs_scan(scene, lay), -shift_pixels)
+    rhs = rs_scan(translated, lay)
+    assert np.allclose(lhs, rhs, rtol=1e-8, atol=1e-12 * np.abs(rhs).max())
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +158,7 @@ def test_si_debiasing_matrix_identity():
     sk = draw_sketches(6, 10, seed=7)
     scene = sparse_scene(g, 4, seed=8)
     y = plane_wave_fields(lay).sensing_matrix(sk) @ scene.values.ravel()
-    m = sk.m
+    m = len(sk)
     d = np.eye(m) - np.ones((m, m)) / m
     assert np.allclose(y - y.mean(), d @ y, atol=1e-14 * max(1.0, np.abs(y).max()))
 
@@ -177,8 +184,8 @@ def test_si_columns_are_vignetted_speckles():
     fields = plane_wave_fields(lay)
     rows = fields.sensing_matrix(sk) * w.ravel()
     y = rows @ scene.values.ravel()
-    assert rows.shape == (sk.m, g.n_points)
-    for idx, alpha in enumerate(sk.alphas):
+    assert rows.shape == (len(sk), g.n_points)
+    for idx, alpha in enumerate(sk):
         speckle = (fields.predict_speckle(alpha) * w).ravel()
         assert np.allclose(rows[idx], g.pixel_volume * speckle, rtol=1e-12, atol=0)
         expect = g.pixel_volume * speckle @ scene.values.ravel()
