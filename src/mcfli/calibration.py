@@ -9,10 +9,11 @@ image through them.  Synthetic fields start from
 :func:`~mcfli.sensing.plane_wave_fields` and multiply each core by a smooth
 random amplitude or phase profile.  Calibration recovers the fields from
 intensity-only fringe patterns: for each core an 8-frame stack is rendered
-against a phase-stepped reference core, and an 8-point DFT along the steps
-isolates the interference term.  The recovered fields carry the reference
-core's phase as a common per-pixel factor, which cancels in every predicted
-speckle.
+against the phase-stepped reference core, core 0, and an 8-point DFT along
+the steps isolates the interference term.  Core labels are arbitrary, so
+fixing the reference to core 0 loses nothing.  The recovered fields carry the
+reference core's phase as a common per-pixel factor, which cancels in every
+predicted speckle.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ REFERENCE_FLOOR_RATIO = 1e-6
 class FringeStack:
     grid: Grid
     frames: np.ndarray  # (q, 8, *grid.shape) intensity frames
-    reference_frame: np.ndarray  # intensity of the reference core alone
-    reference: int = 0  # the core whose field is phase-stepped
+    reference_frame: np.ndarray  # intensity of the reference core (0) alone
 
     def __post_init__(self):
         self.frames.setflags(write=False)
@@ -90,14 +90,16 @@ def synth_fields(
 def render_fringes(
     fields: WavefieldSet, noise_sigma: float = 0.0, seed=0
 ) -> FringeStack:
-    """Render the 8-step interferograms of every core against the reference.
+    """Render the 8-step interferograms of every core against core 0.
 
     Frame ``k`` of core ``q`` is the intensity of the reference field (phase
     advanced by ``2 pi k / 8``) superposed with the core field.  Optional
-    additive Gaussian noise of standard deviation ``noise_sigma`` relative to
-    the peak frame intensity.
+    additive Gaussian noise of standard deviation ``noise_sigma >= 0``
+    relative to the peak frame intensity.
     """
-    ref = fields.fields[fields.reference]
+    if not noise_sigma >= 0:
+        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    ref = fields.fields[0]
     steps = 2.0 * np.pi * np.arange(N_PHASE_STEPS) / N_PHASE_STEPS
     shifted = ref[None] * np.exp(1j * steps.reshape((-1,) + (1,) * fields.grid.dim))
     frames = np.abs(shifted[None] + fields.fields[:, None]) ** 2
@@ -109,19 +111,12 @@ def render_fringes(
         reference_frame = reference_frame + rng.normal(
             0.0, scale, size=reference_frame.shape
         )
-    return FringeStack(
-        grid=fields.grid,
-        frames=frames,
-        reference_frame=reference_frame,
-        reference=fields.reference,
-    )
+    return FringeStack(grid=fields.grid, frames=frames, reference_frame=reference_frame)
 
 
 def recover_fields(stack: FringeStack) -> WavefieldSet:
-    """Recover the wavefields (referenced to the reference core's phase).
-
-    The recovered set keeps the stack's reference core, whose field comes
-    back with zero phase.
+    """Recover the wavefields, referenced to the phase of core 0, whose
+    field comes back with zero phase.
 
     The 7-th coefficient of the 8-point DFT along the phase steps equals
     ``4 * I_i * exp(i * relative phase)``; dividing by ``8 * sqrt(I_ref)``
@@ -139,7 +134,7 @@ def recover_fields(stack: FringeStack) -> WavefieldSet:
     coef = np.fft.fft(stack.frames, axis=1)[:, N_PHASE_STEPS - 1]
     denom = np.where(mask, np.sqrt(np.abs(i00)), 1.0)
     fields = np.where(mask[None], coef / (N_PHASE_STEPS * denom[None]), 0.0)
-    return WavefieldSet(grid=stack.grid, fields=fields, reference=stack.reference, mask=mask)
+    return WavefieldSet(grid=stack.grid, fields=fields, mask=mask)
 
 
 def speckle_cross_correlation(predicted: np.ndarray, truth: np.ndarray) -> float:

@@ -16,7 +16,9 @@ declares only the flags it reads, and a flag that another one would make
 moot is refused beside it: ``sweep`` takes exactly one of ``--q`` and
 ``--vis``, ``demo`` one of ``--scene`` and ``--n1``, and ``calibrate`` at
 most one of ``--amplitude-ripple`` and ``--phase-aberration``.  A ``sweep``
-value that ``SweepSpec`` rejects is a usage error too, before any trial runs.
+value that ``SweepSpec`` rejects is a usage error too, before any trial runs,
+and so is a ``demo`` or ``calibrate`` count below 1 or a negative
+``calibrate --noise``, before ``--out`` makes a directory.
 """
 
 from __future__ import annotations
@@ -47,6 +49,23 @@ _SHARED_FLAGS = {
     "--threads": dict(type=int, default=1, help="worker processes"),
     "--config": dict(type=str, default=None, help="JSON config file"),
 }
+
+
+def _at_least(low, cast):
+    """An argparse ``type`` that casts a flag value and refuses one below
+    ``low`` (or NaN); an uncastable value keeps argparse's ``invalid <cast>
+    value`` message."""
+    def parse(text):
+        value = cast(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = cast.__name__
+    return parse
+
+
+_count = _at_least(1, int)  # core, measurement and sketch counts
 
 
 def _add_shared(parser, *flags):
@@ -203,17 +222,17 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--scene", type=str, default=None,
                       help="scene JSON file (its grid sets the size)")
     grid.add_argument("--n1", type=int, default=64, help="grid size of the bar target")
-    p.add_argument("--q", type=int, default=110)
-    p.add_argument("--m", type=int, nargs="+", default=[3000])
-    p.add_argument("--compare-q", type=int, nargs="+", default=None)
+    p.add_argument("--q", type=_count, default=110)
+    p.add_argument("--m", type=_count, nargs="+", default=[3000])
+    p.add_argument("--compare-q", type=_count, nargs="+", default=None)
     _add_shared(p, "--seed", "--out", "--config")
     p.set_defaults(func=_cmd_demo)
 
     p = sub.add_parser("calibrate", help="synthetic calibration round trip")
     p.add_argument("--n1", type=int, default=32)
-    p.add_argument("--q", type=int, default=12)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--sketches", type=int, default=20)
+    p.add_argument("--q", type=_count, default=12)
+    p.add_argument("--noise", type=_at_least(0, float), default=0.0)
+    p.add_argument("--sketches", type=_count, default=20)
     kind = p.add_mutually_exclusive_group()
     kind.add_argument("--amplitude-ripple", type=float, metavar="DELTA",
                       help="smooth amplitude ripple of depth DELTA")

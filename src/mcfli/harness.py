@@ -18,11 +18,12 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
+from .calibration import recover_fields, render_fringes, speckle_cross_correlation, synth_fields
 from .grid import make_grid
 from .layout import downsample_layout, fermat_spiral_layout, random_layout_1d
 from .scene import bar_target_scene, sparse_scene
 from .sensing import CombinedOperator, VisibilityOperator, rs_scan
-from .serialization import scene_from_json, write_complex_matrix, write_pgm
+from .serialization import scene_from_json, write_pgm
 from .sketch import draw_sketches
 from .solvers import (
     SolverConfig,
@@ -411,7 +412,7 @@ def run_imaging_demo(
     The solves run on the dense map in visibility coordinates
     (:class:`~mcfli.sensing.VisibilityOperator`), which has fewer columns
     than the pixel matrix and gives its results to rounding.  Writes
-    graymaps, binary arrays and a JSON report when ``out_dir`` is set.  Also
+    graymaps, ``.npy`` arrays and a JSON report when ``out_dir`` is set.  Also
     images the scene in raster-scanning mode for comparison.
     """
     if scene_path is not None:
@@ -457,10 +458,7 @@ def run_imaging_demo(
                 if out_dir is not None:
                     tag = f"q{qq}_m{m}_rho{rho:.3e}"
                     write_pgm(os.path.join(out_dir, f"recon_{tag}.pgm"), res.estimate)
-                    write_complex_matrix(
-                        os.path.join(out_dir, f"recon_{tag}.cmat"),
-                        res.estimate.astype(np.complex128),
-                    )
+                    np.save(os.path.join(out_dir, f"recon_{tag}.npy"), res.estimate)
 
     rs_snr = None
     if include_rs:
@@ -496,11 +494,11 @@ def run_calibration_roundtrip(
     seed: int = 0,
     out_dir: str | None = None,
 ) -> dict:
-    """Synthesize fields, render fringes, recover, score speckle prediction."""
-    from .calibration import recover_fields, render_fringes, speckle_cross_correlation, synth_fields
+    """Synthesize fields, render fringes, recover, score speckle prediction.
 
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+    With ``out_dir`` set, writes the recovered ``(q, n1, n1)`` field stack to
+    ``fields.npy`` and the report, naming that file, to ``calibration.json``.
+    """
     grid = make_grid(2, n1, 1.0)
     layout = fermat_spiral_layout(grid, q)
     wavefields = synth_fields(layout, perturbation=perturbation, seed=seed)
@@ -520,13 +518,9 @@ def run_calibration_roundtrip(
         "n1": n1,
     }
     if out_dir is not None:
-        for idx in range(recovered.order):
-            write_complex_matrix(
-                os.path.join(out_dir, f"field_{idx:03d}.cmat"),
-                recovered.fields[idx],
-            )
-        manifest = dict(report)
-        manifest["fields"] = [f"field_{i:03d}.cmat" for i in range(recovered.order)]
+        os.makedirs(out_dir, exist_ok=True)
+        np.save(os.path.join(out_dir, "fields.npy"), recovered.fields)
+        manifest = dict(report, fields="fields.npy")
         with open(os.path.join(out_dir, "calibration.json"), "w") as fh:
             json.dump(manifest, fh, indent=2)
     return report

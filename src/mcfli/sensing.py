@@ -352,7 +352,6 @@ class WavefieldSet:
 
     grid: Grid
     fields: np.ndarray  # (q, *grid.shape) complex
-    reference: int = 0
     mask: np.ndarray | None = None  # pixels where recovery was possible
 
     def __post_init__(self):

@@ -2,11 +2,22 @@ import argparse
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from mcfli import cli
+from mcfli import (
+    WavefieldSet,
+    bar_target_scene,
+    cli,
+    draw_sketches,
+    fermat_spiral_layout,
+    make_grid,
+    synth_fields,
+    vignetted_snr,
+)
+from mcfli.calibration import speckle_cross_correlation
 from mcfli.cli import main
-from mcfli.harness import SweepSpec
+from mcfli.harness import SweepSpec, _child_seed
 
 
 def test_trial_command(capsys):
@@ -95,10 +106,40 @@ def test_sweep_values_the_spec_rejects_exit_2(flags, error, monkeypatch, capsys)
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [(["demo", "--compare-q", "0"], "argument --compare-q: must be >= 1, got 0"),
+     (["demo", "--q", "0"], "argument --q: must be >= 1, got 0"),
+     (["demo", "--m", "0"], "argument --m: must be >= 1, got 0"),
+     (["calibrate", "--q", "0"], "argument --q: must be >= 1, got 0"),
+     (["calibrate", "--sketches", "0"], "argument --sketches: must be >= 1, got 0"),
+     (["calibrate", "--noise=-0.5"], "argument --noise: must be >= 0, got -0.5")],
+    ids=["demo-compare-q-0", "demo-q-0", "demo-m-0", "calibrate-q-0",
+         "calibrate-sketches-0", "calibrate-negative-noise"],
+)
+def test_out_of_range_values_exit_2(argv, error, tmp_path, capsys):
+    # refused while parsing: nothing runs and --out makes no directory
+    out = tmp_path / "d"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"mcfli {argv[0]}: error: {error}" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_demo_with_missing_scene_creates_no_directory(tmp_path):
     out = tmp_path / "d"
     with pytest.raises(FileNotFoundError):
         main(["demo", "--scene", str(tmp_path / "missing.json"), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_calibrate_with_a_bad_grid_creates_no_directory(tmp_path):
+    # the directory is made only once there is something to write into it
+    out = tmp_path / "d"
+    with pytest.raises(ValueError, match="n1 must be even"):
+        main(["calibrate", "--n1", "0", "--out", str(out)])
     assert not out.exists()
 
 
@@ -145,10 +186,39 @@ def test_demo_command(tmp_path, capsys):
         "demo", "--n1", "64", "--q", "12", "--m", "80", "--seed", "0",
         "--out", str(tmp_path), "--config", str(cfg),
     ]) == 0
-    assert (tmp_path / "report.json").exists()
     assert (tmp_path / "truth.pgm").exists()
     out = capsys.readouterr().out
     assert "rs_mode" in out
+    # each reconstruction is saved as a float64 .npy of the grid's shape,
+    # and scores the SNR its report entry gives
+    scene = bar_target_scene(make_grid(2, 64, 1.0))
+    entries = json.loads((tmp_path / "report.json").read_text())["entries"]
+    assert len(entries) == 3
+    for entry in entries:
+        tag = f"q{entry['q']}_m{entry['m']}_rho{entry['rho']:.3e}"
+        recon = np.load(tmp_path / f"recon_{tag}.npy")
+        assert recon.dtype == np.float64 and recon.shape == (64, 64)
+        assert vignetted_snr(recon, scene.values, scene.vignette) == entry["snr_db"]
+
+
+def test_calibrate_out_writes_the_field_stack_as_npy(tmp_path):
+    # the saved stack predicts the test speckles the report scored
+    n1, q, n_sketches, seed = 16, 5, 6, 2
+    assert main(["calibrate", "--n1", str(n1), "--q", str(q), "--noise", "0.02",
+                 "--sketches", str(n_sketches), "--phase-aberration", "0.4",
+                 "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "calibration.json").read_text())
+    assert report["fields"] == "fields.npy"
+    grid = make_grid(2, n1, 1.0)
+    stack = np.load(tmp_path / "fields.npy")
+    assert stack.dtype == np.complex128 and stack.shape == (q, n1, n1)
+    truth = synth_fields(fermat_spiral_layout(grid, q),
+                         perturbation=("phase-aberration", 0.4), seed=seed)
+    sketches = draw_sketches(q, n_sketches, _child_seed(seed, q, n_sketches))
+    predicted = WavefieldSet(grid, stack).predict_speckle(sketches)
+    correlations = [speckle_cross_correlation(p, t)
+                    for p, t in zip(predicted, truth.predict_speckle(sketches))]
+    assert min(correlations) == report["min_cross_correlation"] < 0.9999
 
 
 def _recording_namespace():

@@ -236,7 +236,7 @@ def test_calibration_roundtrip_driver(tmp_path):
     assert report["min_cross_correlation"] >= 0.999
     assert report["n_frames"] == 8 * 5 + 1
     assert (tmp_path / "calibration.json").exists()
-    assert (tmp_path / "field_000.cmat").exists()
+    assert (tmp_path / "fields.npy").exists()
 
 
 def test_imaging_demo_runs_lanczos_once_per_operator(monkeypatch):
