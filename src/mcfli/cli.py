@@ -17,7 +17,8 @@ moot is refused beside it: ``sweep`` takes exactly one of ``--q`` and
 ``--vis``, ``demo`` one of ``--scene`` and ``--n1``, and ``calibrate`` at
 most one of ``--amplitude-ripple`` and ``--phase-aberration``.  A ``sweep``
 value that ``SweepSpec`` rejects is a usage error too, before any trial runs,
-and so is a ``demo`` or ``calibrate`` count below 1 or a negative
+and so is a ``demo`` core count below 2 (one core has no core pairs to image
+with), another ``demo`` or ``calibrate`` count below 1 or a negative
 ``calibrate --noise``, before ``--out`` makes a directory.
 """
 
@@ -66,6 +67,7 @@ def _at_least(low, cast):
 
 
 _count = _at_least(1, int)  # core, measurement and sketch counts
+_cores = _at_least(2, int)  # the demo's core counts: one core has no core pairs
 
 
 def _add_shared(parser, *flags):
@@ -222,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--scene", type=str, default=None,
                       help="scene JSON file (its grid sets the size)")
     grid.add_argument("--n1", type=int, default=64, help="grid size of the bar target")
-    p.add_argument("--q", type=_count, default=110)
+    p.add_argument("--q", type=_cores, default=110)
     p.add_argument("--m", type=_count, nargs="+", default=[3000])
-    p.add_argument("--compare-q", type=_count, nargs="+", default=None)
+    p.add_argument("--compare-q", type=_cores, nargs="+", default=None)
     _add_shared(p, "--seed", "--out", "--config")
     p.set_defaults(func=_cmd_demo)
 

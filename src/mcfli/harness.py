@@ -409,9 +409,12 @@ def run_imaging_demo(
     Reconstructs a resolution-target cartoon for each (core count,
     measurement count) pair, sweeping the TV weight logarithmically (powers
     ``rho_scale_exponents`` of the data scale) and keeping the best SNR.
-    The solves run on the dense map in visibility coordinates
-    (:class:`~mcfli.sensing.VisibilityOperator`), which has fewer columns
-    than the pixel matrix and gives its results to rounding.  Writes
+    The solves run on the map in visibility coordinates
+    (:class:`~mcfli.sensing.VisibilityOperator`), with the pixel solve's
+    results to rounding: at the default ``m = 3000`` against ``D = 2460``
+    coordinates, on its symmetric ``D x D`` Gram, one Gram product per
+    iteration in place of two products with the ``(m, n)`` pixel matrix;
+    below ``m = D``, on its ``(m, D)`` factor.  Writes
     graymaps, ``.npy`` arrays and a JSON report when ``out_dir`` is set.  Also
     images the scene in raster-scanning mode for comparison.
     """
@@ -442,9 +445,8 @@ def run_imaging_demo(
             sketches = draw_sketches(qq, m, _child_seed(seed, qq, m))
             op = CombinedOperator(layout, sketches)
             y = op.forward(truth)
-            # the dense map in visibility coordinates, one operator per
-            # (q, m): its norm bound is computed once and reused for every
-            # TV weight
+            # the map in visibility coordinates, one operator per (q, m):
+            # its dense form and norm bound are built once for every TV weight
             dense_op = VisibilityOperator(op)
             scale = float(np.abs(dense_op.adjoint(y)).max()) / m
             for e in rho_scale_exponents:

@@ -13,12 +13,12 @@ its dense matrix and the raster scan all compose that pair.  A sketch set is
 a complex ``(m, q)`` array, whose quadratic forms :class:`SropOperator` alone
 takes.  The image
 reaches the measurements only through the bins the core pairs occupy, so the
-map factors through :func:`image_to_visibilities`, the isometry onto real
-coordinates of the spectrum at those bins (adjoint
-:func:`visibilities_to_image`): ``CombinedOperator.as_matrix(
-basis="visibilities")`` is the dense factor on them, and
-:class:`VisibilityOperator` applies the map through it, with fewer columns
-than pixels whenever bins are left unoccupied.
+map factors as ``C Phi`` through :func:`image_to_visibilities` (``Phi``), the
+isometry onto real coordinates of the spectrum at those bins (adjoint
+:func:`visibilities_to_image`), which are fewer than the pixels whenever bins
+are left unoccupied.  :class:`VisibilityOperator` holds the smaller of ``C``
+and its Gram ``C^T C`` and applies the map's normal operator through it; the
+TV solve of the imaging demo runs on it.
 
 Illumination has one model: a :class:`WavefieldSet` of per-core fields,
 whose speckle for a sketch ``alpha`` is ``|sum_q alpha_q E_q|^2``.  The set
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -53,6 +54,13 @@ IMAG_RESIDUE_RTOL = 1e-12
 # peak resident set of the solves that follow (by about 2 MB on the 1-D sweep
 # with a 1 MiB budget; see LANCZOS_MAX_BASIS)
 AS_MATRIX_CHUNK_BYTES = 1 << 16
+# the visibility Gram is accumulated from blocks of centred rows of the
+# (m, D) map, each at most this size; the pair products that fill a block and
+# the tile products it adds into the Gram take at most an eighth of it.  Each
+# block streams the Gram once, so a larger one saves time (at the demo point,
+# 8 MiB is 426 of 3000 rows and about 0.5 s of tile products, against 0.65 s
+# at 4 MiB), while the Gram and one block stay below the (m, D) matrix
+GRAM_BLOCK_BYTES = 1 << 23
 
 
 def _check_same_grid(scene: SceneImage, layout: CoreLayout):
@@ -104,13 +112,13 @@ def interferometric_matrix(scene: SceneImage, layout: CoreLayout) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _visibility_coordinates(layout: CoreLayout, spectra: np.ndarray) -> np.ndarray:
-    """Real coordinates of flat spectra ``(..., n)`` at the layout's
-    occupied bins: the real part at each self-conjugate bin, then
-    ``sqrt(2) Re`` and ``sqrt(2) Im`` at one bin of each conjugate pair."""
-    real, pairs, _ = layout.visibility_bins
-    paired = spectra[..., pairs] * np.sqrt(2.0)
-    return np.concatenate((spectra[..., real].real, paired.real, paired.imag), axis=-1)
+def _real_coordinates(on_real: np.ndarray, paired: np.ndarray) -> np.ndarray:
+    """Real coordinates of spectrum values ``(..., k)``: the real part of the
+    values ``on_real`` at self-conjugate bins, then ``sqrt(2) Re`` and
+    ``sqrt(2) Im`` of the values ``paired`` at one bin of each conjugate
+    pair."""
+    paired = paired * np.sqrt(2.0)
+    return np.concatenate((on_real.real, paired.real, paired.imag), axis=-1)
 
 
 def image_to_visibilities(layout: CoreLayout, values: np.ndarray) -> np.ndarray:
@@ -121,10 +129,11 @@ def image_to_visibilities(layout: CoreLayout, values: np.ndarray) -> np.ndarray:
     spectrum, stored as ``sqrt(2) Re`` and ``sqrt(2) Im``; a self-conjugate
     bin carries one real value.  The map is an isometry on those bins, so it
     preserves inner products of images whose spectra live there, and the
-    centred sensing map factors through it (``CombinedOperator.as_matrix``
-    with ``basis="visibilities"``).
+    centred sensing map factors through it (:class:`VisibilityOperator`).
     """
-    return _visibility_coordinates(layout, layout.grid.fft(values).ravel())
+    real, pairs, _ = layout.visibility_bins
+    spectrum = layout.grid.fft(values).ravel()
+    return _real_coordinates(spectrum[real], spectrum[pairs])
 
 
 def visibilities_to_image(layout: CoreLayout, coords: np.ndarray) -> np.ndarray:
@@ -225,9 +234,10 @@ class CombinedOperator:
 
     ``forward`` takes a flat (or grid-shaped) real image of the layout's grid
     and returns the centered projections of its interferometric matrix.
-    ``adjoint`` is the exact transpose.  ``as_matrix`` materializes the map as
-    a dense ``(m, n)`` array, worthwhile for the desk-scale Monte-Carlo runs,
-    or as its ``(m, D)`` factor on the ``D`` visibility coordinates.
+    ``adjoint`` is the exact transpose and ``normal`` their composition.
+    ``as_matrix`` materializes the map as a dense ``(m, n)`` array,
+    worthwhile for the desk-scale Monte-Carlo runs, or as its ``(m, D)``
+    factor on the ``D`` visibility coordinates.
     """
 
     def __init__(self, layout: CoreLayout, sketches: np.ndarray):
@@ -260,6 +270,9 @@ class CombinedOperator:
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         return matrix_to_image(self.layout, self.srop.adjoint(z)).ravel()
 
+    def normal(self, v: np.ndarray) -> np.ndarray:
+        return self.adjoint(self.forward(v))
+
     def as_matrix(self, basis: str = "pixels") -> np.ndarray:
         """Dense real matrix of the map, cached per basis.
 
@@ -271,69 +284,164 @@ class CombinedOperator:
 
         ``visibilities`` gives the ``(m, D)`` matrix ``C`` on the layout's
         ``D`` visibility coordinates, with ``forward(f) = C @
-        image_to_visibilities(layout, f)`` to rounding.  Its rows read the
-        same scattered spectra at the occupied bins, with no inverse FFT.
-        The map has rank at most ``D``, which is below ``n`` once the cores
-        leave bins unoccupied (2460 against 4096 for 110 cores on a 64x64
-        grid).
+        image_to_visibilities(layout, f)`` to rounding
+        (:func:`_visibility_rows`, with no scatter or inverse FFT).  The map
+        has rank at most ``D``, which is below ``n`` once the cores leave
+        bins unoccupied (2460 against 4096 for 110 cores on a 64x64 grid).
         """
         if basis not in ("pixels", "visibilities"):
             raise ValueError(f"unknown basis {basis!r}")
         if basis not in self._dense:
-            pixels = basis == "pixels"
-            if pixels:
-                width = self.n
+            if basis == "visibilities":
+                # one block of every row, written into the returned array
+                rows = next(_visibility_rows(self.layout, self.srop, self.m))
             else:
-                real, pairs, _ = self.layout.visibility_bins
-                width = real.size + 2 * pairs.size
-            rows = np.empty((self.m, width))
-            for start, spectra in self._scattered_outer_products():
-                block = rows[start : start + len(spectra)]
-                if pixels:
-                    block[:] = _spectra_to_images(self.grid, spectra).reshape(len(spectra), -1)
-                else:
-                    block[:] = self.grid.fourier_scale * _visibility_coordinates(
-                        self.layout, spectra
-                    )
-            rows -= rows.mean(axis=0)
+                q = self.srop.q
+                chunk = max(1, AS_MATRIX_CHUNK_BYTES // (16 * max(q * q, self.n)))
+                rows = np.empty((self.m, self.n))
+                for start in range(0, self.m, chunk):
+                    a = self.sketches[start : start + chunk]
+                    spectra = self.layout.scatter(a[:, :, None] * a.conj()[:, None, :])
+                    images = _spectra_to_images(self.grid, spectra)
+                    rows[start : start + len(a)] = images.reshape(len(a), -1)
+                rows -= rows.mean(axis=0)
             self._dense[basis] = rows
         return self._dense[basis]
 
-    def _scattered_outer_products(self):
-        """Yield ``(start, spectra)``: the scattered outer products of the
-        sketches from ``start`` on, a chunk at a time."""
-        q = self.srop.q
-        chunk = max(1, AS_MATRIX_CHUNK_BYTES // (16 * max(q * q, self.n)))
-        for start in range(0, self.m, chunk):
-            a = self.sketches[start : start + chunk]
-            yield start, self.layout.scatter(a[:, :, None] * a.conj()[:, None, :])
+
+def _visibility_rows(layout: CoreLayout, srop: SropOperator, block: int):
+    """Yield the centred rows of the ``(m, D)`` map on the visibility
+    coordinates, ``block`` rows at a time, as views into one buffer that
+    the next block overwrites.
+
+    Row ``i`` is the coordinate vector (:func:`image_to_visibilities` of the
+    spectrum) of the scattered outer product of sketch ``i``, less the mean
+    row.  The rows are formed straight into their coordinate slots: the
+    products ``a_j conj(a_k)`` of the core pairs whose bin has a slot, sorted
+    by slot and summed per slot with ``np.add.reduceat``, a chunk of
+    sketches at a time with no chunk above an eighth of
+    ``GRAM_BLOCK_BYTES``.  The conjugate sketches are the ones ``srop``
+    caches.  The layout must have at least one core pair.
+    """
+    real, pairs, _ = layout.visibility_bins
+    n_real, n_slots = real.size, real.size + pairs.size
+    # the ordered pairs (j, k), diagonal included, whose bin has a slot,
+    # grouped by slot; every slot holds at least one off-diagonal pair
+    slot_of_bin = np.full(layout.grid.n_points, -1)
+    slot_of_bin[real] = np.arange(n_real)
+    slot_of_bin[pairs] = np.arange(n_real, n_slots)
+    slot = slot_of_bin[layout.bin_map.ravel()]
+    kept = np.flatnonzero(slot >= 0)
+    kept = kept[np.argsort(slot[kept], kind="stable")]
+    starts = np.searchsorted(slot[kept], np.arange(n_slots))
+    first, second = np.divmod(kept, layout.order)
+    scale = layout.grid.fourier_scale
+
+    def coordinates(slot_sums):
+        return _real_coordinates(slot_sums[..., :n_real], slot_sums[..., n_real:])
+
+    sketches, conj, m = srop.sketches, srop._sketches_conj, srop.m
+    # the mean row, from the mean outer product: the rows are linear in it
+    mean_outer = (sketches.T @ conj).ravel() / m
+    mean_row = scale * coordinates(np.add.reduceat(mean_outer[kept], starts))
+
+    chunk = max(1, GRAM_BLOCK_BYTES // 8 // (16 * kept.size))
+    rows = np.empty((min(block, m), n_real + 2 * pairs.size))
+    for start in range(0, m, block):
+        out = rows[: min(block, m - start)]
+        for lo in range(0, len(out), chunk):
+            part = slice(start + lo, start + min(lo + chunk, len(out)))
+            products = sketches[part][:, first]
+            products *= conj[part][:, second]
+            sums = np.add.reduceat(products, starts, axis=1)
+            sums *= scale
+            out[lo : lo + len(sums)] = coordinates(sums)
+        out -= mean_row
+        yield out
+
+
+def _visibility_gram(layout: CoreLayout, srop: SropOperator) -> np.ndarray:
+    """The symmetric ``(D, D)`` Gram ``C^T C`` of the ``(m, D)`` map ``C`` on
+    the visibility coordinates, with ``C`` never held whole.
+
+    Each block of :func:`_visibility_rows` (``GRAM_BLOCK_BYTES`` at most)
+    adds its products into the upper tiles of ``G``, and the lower tiles are
+    mirrored at the end, so ``G`` is exactly symmetric.  No tile product
+    exceeds an eighth of ``GRAM_BLOCK_BYTES``.
+    """
+    real, pairs, _ = layout.visibility_bins
+    dim = real.size + 2 * pairs.size
+    gram = np.zeros((dim, dim))
+    if dim == 0:
+        return gram
+    tile = max(1, int(np.sqrt(GRAM_BLOCK_BYTES // 64)))
+    edges = list(range(0, dim, tile)) + [dim]
+    tiles = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    for rows in _visibility_rows(layout, srop, max(1, GRAM_BLOCK_BYTES // (8 * dim))):
+        for i, ti in enumerate(tiles):
+            for tj in tiles[i:]:
+                gram[ti, tj] += rows[:, ti].T @ rows[:, tj]
+    for i, ti in enumerate(tiles):
+        for tj in tiles[i + 1 :]:
+            gram[tj, ti] = gram[ti, tj].T
+    return gram
 
 
 class VisibilityOperator:
-    """The centred sensing map as ``f -> C @ image_to_visibilities(f)``.
+    """The centred sensing map ``B = C Phi`` of a :class:`CombinedOperator`
+    on the ``D`` visibility coordinates, held in the form that makes its
+    normal map ``B^T B = Phi^T C^T C Phi`` cheaper.
 
-    ``C`` is ``CombinedOperator.as_matrix(basis="visibilities")``, held as a
-    :class:`~mcfli.solvers.linop.MatrixOperator`.  Images are flat or
-    grid-shaped; the adjoint returns flat images.  Each product streams the
-    ``(m, D)`` matrix once and makes one FFT, which is cheaper than the
-    ``(m, n)`` pixel matrix when ``D < n``.
+    ``Phi`` is :func:`image_to_visibilities` and ``C`` the ``(m, D)`` map on
+    the coordinates.  Around one FFT and one inverse FFT, ``normal`` costs
+    either two products with ``C`` (``as_matrix(basis="visibilities")``) or
+    one with the symmetric ``(D, D)`` Gram ``G = C^T C``
+    (:func:`_visibility_gram`, built without holding ``C``).  The operator
+    holds the smaller of the two: ``C`` when ``m < D`` and ``G`` otherwise.
+    Per call ``G`` is the cheaper from ``m = D / 2`` on, but its build costs
+    ``m D^2`` flops, and on a 2-CPU host at ``D = 2460`` the solve on ``C``
+    stayed the faster up to ``m`` between ``0.6 D`` (2000 iterations) and
+    ``0.8 D`` (300 iterations).  The norm bound is Lanczos on whichever is
+    held.  ``forward`` and ``adjoint`` run through ``C`` when it is held and
+    are the combined operator's, matrix-free, when it is not.  Images are
+    flat or grid-shaped; ``normal`` and ``adjoint`` return flat images.
     """
 
     def __init__(self, op: CombinedOperator):
+        self.combined = op
         self.layout = op.layout
         self.grid = op.grid
-        self.coords = MatrixOperator(op.as_matrix(basis="visibilities"))
         self.m, self.n = op.m, op.n
-        # image_to_visibilities is a co-isometry, so ||C Phi|| = ||C||: the
-        # bound is certified on the D coordinates, with no FFT per step
+        real, pairs, _ = op.layout.visibility_bins
+        dim = real.size + 2 * pairs.size
+        if op.m < dim:
+            self.factor = MatrixOperator(op.as_matrix(basis="visibilities"))
+            self.coords = self.factor
+        else:
+            self.factor = None
+            gram = _visibility_gram(op.layout, op.srop)
+            self.coords = SimpleNamespace(n=dim, normal=gram.dot)
+        # Phi is a co-isometry, so ||B|| = ||C||: the bound is certified on
+        # the D coordinates, with no FFT per step
         self._norm_bound = operator_norm(self.coords)
 
-    def forward(self, v: np.ndarray) -> np.ndarray:
+    def _coordinates(self, v: np.ndarray) -> np.ndarray:
         image = np.asarray(v, dtype=np.float64).reshape(self.grid.shape)
-        return self.coords.forward(image_to_visibilities(self.layout, image))
+        return image_to_visibilities(self.layout, image)
+
+    def forward(self, v: np.ndarray) -> np.ndarray:
+        if self.factor is None:
+            return self.combined.forward(v)
+        return self.factor.forward(self._coordinates(v))
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
-        return visibilities_to_image(self.layout, self.coords.adjoint(z)).ravel()
+        if self.factor is None:
+            return self.combined.adjoint(z)
+        return visibilities_to_image(self.layout, self.factor.adjoint(z)).ravel()
+
+    def normal(self, v: np.ndarray) -> np.ndarray:
+        coords = self.coords.normal(self._coordinates(v))
+        return visibilities_to_image(self.layout, coords).ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,11 @@
-"""Light adapter so solvers accept dense matrices or forward/adjoint objects."""
+"""Light adapter so solvers accept dense matrices or operator objects.
+
+An operator acts on flat real vectors through ``forward`` (``B v``),
+``adjoint`` (``B^T z``) and ``normal`` (``B^T B v``).  The solvers that see
+the data only through the gradient of a least-squares term (the TV loop, the
+norm bound) call ``normal`` alone, so an operator can apply ``B^T B`` more
+cheaply than the two products it stands for.
+"""
 
 from __future__ import annotations
 
@@ -29,18 +36,21 @@ class MatrixOperator:
     def adjoint(self, z):
         return self.matrix.T.dot(z)
 
+    def normal(self, v):
+        return self.adjoint(self.forward(v))
+
 
 def as_operator(op):
     if isinstance(op, np.ndarray):
         return MatrixOperator(op)
-    if hasattr(op, "forward") and hasattr(op, "adjoint"):
+    if all(hasattr(op, name) for name in ("forward", "adjoint", "normal")):
         return op
     raise TypeError(f"cannot interpret {type(op).__name__} as a linear operator")
 
 
 def operator_norm(op) -> float:
     """Upper bound on the spectral norm of the operator, from Lanczos on
-    ``adjoint . forward``; see :func:`_lanczos_norm`.
+    its ``normal`` map; see :func:`_lanczos_norm`.
 
     The bound is stored on the operator (``op._norm_bound``) on the first
     call and returned by later ones, so a solver run repeatedly on one
@@ -55,7 +65,8 @@ def operator_norm(op) -> float:
 
 
 def _lanczos_norm(op) -> float:
-    """Lanczos upper bound on the spectral norm of ``op``.
+    """Lanczos upper bound on the spectral norm of ``op``, from its
+    ``normal`` map and its input length ``op.n`` alone.
 
     The Krylov basis starts from a standard normal vector of length
     ``op.n`` only: every operator acts on flat real vectors (the PSD
@@ -65,10 +76,12 @@ def _lanczos_norm(op) -> float:
     iteration stops once the top Ritz pair ``(theta, s)`` has a residual
     ``beta * |s[-1]|`` below ``LANCZOS_RTOL * theta``, once the Krylov space
     is exhausted (``beta == 0``) or after ``LANCZOS_MAX_BASIS`` steps.  An
-    eigenvalue of the Gram operator lies within that residual of ``theta``,
+    eigenvalue of the normal map lies within that residual of ``theta``,
     so ``sqrt(theta + residual)`` bounds its square root from above; a zero
-    operator gives exactly 0.0.
+    operator, or one with no inputs, gives exactly 0.0.
     """
+    if op.n == 0:
+        return 0.0
     q = np.random.default_rng(0).standard_normal(op.n)
     q /= np.linalg.norm(q)
     kmax = min(LANCZOS_MAX_BASIS, q.size)
@@ -80,7 +93,7 @@ def _lanczos_norm(op) -> float:
             tri[k, k - 1] = tri[k - 1, k] = beta
         basis[k] = q
         # a fresh copy: w is updated in place below
-        w = np.array(op.adjoint(op.forward(q)), dtype=np.float64)
+        w = np.array(op.normal(q), dtype=np.float64)
         v = basis[: k + 1]
         alpha = 0.0
         for _ in range(2):

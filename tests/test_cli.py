@@ -108,14 +108,16 @@ def test_sweep_values_the_spec_rejects_exit_2(flags, error, monkeypatch, capsys)
 
 @pytest.mark.parametrize(
     "argv, error",
-    [(["demo", "--compare-q", "0"], "argument --compare-q: must be >= 1, got 0"),
-     (["demo", "--q", "0"], "argument --q: must be >= 1, got 0"),
+    [(["demo", "--compare-q", "0"], "argument --compare-q: must be >= 2, got 0"),
+     (["demo", "--compare-q", "55", "1"], "argument --compare-q: must be >= 2, got 1"),
+     (["demo", "--q", "0"], "argument --q: must be >= 2, got 0"),
+     (["demo", "--q", "1"], "argument --q: must be >= 2, got 1"),
      (["demo", "--m", "0"], "argument --m: must be >= 1, got 0"),
      (["calibrate", "--q", "0"], "argument --q: must be >= 1, got 0"),
      (["calibrate", "--sketches", "0"], "argument --sketches: must be >= 1, got 0"),
      (["calibrate", "--noise=-0.5"], "argument --noise: must be >= 0, got -0.5")],
-    ids=["demo-compare-q-0", "demo-q-0", "demo-m-0", "calibrate-q-0",
-         "calibrate-sketches-0", "calibrate-negative-noise"],
+    ids=["demo-compare-q-0", "demo-compare-q-1", "demo-q-0", "demo-q-1", "demo-m-0",
+         "calibrate-q-0", "calibrate-sketches-0", "calibrate-negative-noise"],
 )
 def test_out_of_range_values_exit_2(argv, error, tmp_path, capsys):
     # refused while parsing: nothing runs and --out makes no directory

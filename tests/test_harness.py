@@ -257,24 +257,30 @@ def test_imaging_demo_runs_lanczos_once_per_operator(monkeypatch):
     assert len(runs) == 1
 
 
-def test_imaging_demo_matches_the_pixel_matrix_solve():
-    # the demo solves on the dense map in visibility coordinates; the same
-    # solve on the pixel matrix gives the same SNR
-    n1, q, m, seed, exponent = 64, 12, 60, 3, -2.0
+def test_imaging_demo_matches_the_pixel_matrix_solve(tmp_path):
+    # the demo solves on the map in visibility coordinates (D = 128 for 12
+    # cores): on its factor C at m = 60, on its Gram at m = 140.  The same
+    # solve on the pixel matrix gives the same estimate and SNR
+    n1, q, seed, exponent = 64, 12, 3, -2.0
     config = SolverConfig(max_iterations=200, tol=1e-8)
     report = run_imaging_demo(
-        n1=n1, q=q, m_values=[m], rho_scale_exponents=(exponent,), seed=seed,
-        include_rs=False, config=config,
+        out_dir=str(tmp_path), n1=n1, q=q, m_values=[60, 140],
+        rho_scale_exponents=(exponent,), seed=seed, include_rs=False, config=config,
     )
     grid = make_grid(2, n1, 1.0)
     scene = bar_target_scene(grid)
-    sketches = draw_sketches(q, m, np.random.SeedSequence((seed, q, m)))
-    op = CombinedOperator(fermat_spiral_layout(grid, q), sketches)
-    dense = op.as_matrix()
-    y = op.forward(scene.values)
-    rho = float(np.abs(dense.T @ y).max()) / m * 10.0**exponent
-    res = solve_tv_nonneg(MatrixOperator(dense), y, rho, config, shape=grid.shape)
-    entry = report.entries[0]
-    assert entry.rho == pytest.approx(rho, rel=1e-12)
-    assert entry.iterations == res.iterations
-    assert abs(entry.snr_db - vignetted_snr(res.estimate, scene.values, scene.vignette)) <= 1e-6
+    for entry in report.entries:
+        m = entry.m
+        sketches = draw_sketches(q, m, np.random.SeedSequence((seed, q, m)))
+        op = CombinedOperator(fermat_spiral_layout(grid, q), sketches)
+        dense = op.as_matrix()
+        y = op.forward(scene.values)
+        rho = float(np.abs(dense.T @ y).max()) / m * 10.0**exponent
+        res = solve_tv_nonneg(MatrixOperator(dense), y, rho, config, shape=grid.shape)
+        assert entry.rho == pytest.approx(rho, rel=1e-12)
+        assert entry.iterations == res.iterations
+        snr = vignetted_snr(res.estimate, scene.values, scene.vignette)
+        assert abs(entry.snr_db - snr) <= 1e-6
+        estimate = np.load(tmp_path / f"recon_q{q}_m{m}_rho{entry.rho:.3e}.npy")
+        assert np.linalg.norm(estimate - res.estimate) <= 1e-8 * np.linalg.norm(res.estimate)
+    assert [e.m for e in report.entries] == [60, 140]

@@ -14,6 +14,7 @@ from mcfli import (
     spikes_scene,
     zeros_scene,
 )
+from mcfli import sensing
 from mcfli.layout import explicit_layout, fermat_spiral_layout
 from mcfli.sensing import (
     VisibilityOperator,
@@ -394,8 +395,8 @@ def test_dense_matrix_bit_identical_to_per_row_build(dim, q, m):
 # ---------------------------------------------------------------------------
 
 
-def _visibility_case(case):
-    """A CombinedOperator on one of three layouts: the 2-D spiral, a 1-D
+def _visibility_case(case, m=60):
+    """A CombinedOperator with ``m`` sketches on one of three layouts: the 2-D spiral, a 1-D
     comb with a pair 128 pitches apart (the Nyquist bin of n1=256), and an
     explicit 1-D layout with two cores 0.3 pitch apart (an off-diagonal pair
     snapped to bin 0)."""
@@ -410,7 +411,7 @@ def _visibility_case(case):
         g = make_grid(1, 64, 1.0)
         slots = np.array([-11.0, 0.0, 0.3, 4.0, 9.0, 20.0])
         lay = explicit_layout(g, slots[:, None])
-    return CombinedOperator(lay, draw_sketches(lay.order, 60, seed=7))
+    return CombinedOperator(lay, draw_sketches(lay.order, m, seed=7))
 
 
 VISIBILITY_CASES = ["2d-spiral", "1d-nyquist", "1d-bin0"]
@@ -450,7 +451,7 @@ def test_visibility_coordinates_exact_adjoint(case):
 
 
 @pytest.mark.parametrize("case", VISIBILITY_CASES)
-def test_visibility_matrix_factors_the_pixel_matrix(case):
+def test_visibility_matrix_factors_the_pixel_matrix(case, monkeypatch):
     op = _visibility_case(case)
     grid = op.grid
     # the coordinates of every pixel's unit image, as a (D, n) matrix
@@ -462,19 +463,43 @@ def test_visibility_matrix_factors_the_pixel_matrix(case):
     factored = op.as_matrix(basis="visibilities") @ phi
     assert np.linalg.norm(factored - pixels) <= 1e-13 * np.linalg.norm(pixels)
     assert op.as_matrix(basis="visibilities") is op.as_matrix(basis="visibilities")
+    # Phi^T G Phi is the pixel Gram; a 4 KiB budget splits the build into
+    # several row blocks, pair-product chunks and tiles
+    expect = pixels.T @ pixels
+    for budget in (sensing.GRAM_BLOCK_BYTES, 1 << 12):
+        monkeypatch.setattr(sensing, "GRAM_BLOCK_BYTES", budget)
+        gram = sensing._visibility_gram(op.layout, op.srop)
+        assert gram.shape == (phi.shape[0],) * 2
+        assert np.array_equal(gram, gram.T)
+        assert np.linalg.norm(phi.T @ gram @ phi - expect) <= 1e-13 * np.linalg.norm(expect)
 
 
 @pytest.mark.parametrize("case", VISIBILITY_CASES)
 def test_visibility_operator_matches_the_pixel_matrix(case):
-    op = _visibility_case(case)
-    vis, pixels = VisibilityOperator(op), op.as_matrix()
+    # D = 84, 45 and 17 coordinates: the operator holds the factor C for 10
+    # sketches and the Gram for 100
     rng = np.random.default_rng(3)
-    v, z = rng.standard_normal(op.n), rng.standard_normal(op.m)
-    assert np.linalg.norm(vis.forward(v) - pixels @ v) <= 1e-13 * np.linalg.norm(pixels @ v)
-    assert np.linalg.norm(vis.adjoint(z) - pixels.T @ z) <= 1e-13 * np.linalg.norm(pixels.T @ z)
-    assert operator_norm(vis) == pytest.approx(
-        operator_norm(MatrixOperator(pixels)), rel=LANCZOS_RTOL
-    )
+    for m in (10, 100):
+        op = _visibility_case(case, m)
+        vis, full = VisibilityOperator(op), op.as_matrix()
+        assert (vis.factor is None) == (m == 100)
+        v, z = rng.standard_normal(vis.n), rng.standard_normal(vis.m)
+        for got, want in ((vis.forward(v), full @ v), (vis.adjoint(z), full.T @ z),
+                          (vis.normal(v), full.T @ (full @ v))):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        assert operator_norm(vis) == pytest.approx(
+            operator_norm(MatrixOperator(full)), rel=LANCZOS_RTOL
+        )
+
+
+def test_visibility_operator_of_one_core_is_zero():
+    # one core has no core pairs: no coordinates, and a zero norm bound
+    grid = make_grid(2, 16, 1.0)
+    op = CombinedOperator(fermat_spiral_layout(grid, 1), draw_sketches(1, 5, seed=0))
+    vis = VisibilityOperator(op)
+    assert vis.coords.n == 0
+    assert operator_norm(vis) == 0.0
+    assert np.all(vis.normal(np.ones(vis.n)) == 0)
 
 
 def test_as_matrix_rejects_an_unknown_basis():

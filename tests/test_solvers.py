@@ -18,7 +18,7 @@ from mcfli import (
     sparse_scene,
     vignetted_snr,
 )
-from mcfli.sensing import SropOperator
+from mcfli.sensing import SropOperator, VisibilityOperator
 from mcfli.solvers import (
     MatrixOperator,
     grad2d,
@@ -89,6 +89,8 @@ def test_operator_norm_dense_bound():
 
 def test_operator_norm_zero_matrix_is_zero():
     assert operator_norm(MatrixOperator(np.zeros((6, 9)))) == 0.0
+    # an operator with no inputs has no Krylov space at all
+    assert operator_norm(MatrixOperator(np.zeros((6, 0)))) == 0.0
 
 
 def test_operator_norm_rank_deficient_stops_with_krylov_space():
@@ -543,6 +545,56 @@ def test_tv_huge_weight_flattens(tv_instance):
     assert np.all(res.estimate >= 0)
     assert np.ptp(res.estimate) <= 0.1 * np.ptp(scene.values)
     assert tv_norm(res.estimate) <= 0.1 * tv_norm(scene.values)
+
+
+@pytest.mark.parametrize("visibility", [False, True], ids=["combined", "visibility"])
+def test_tv_reports_the_objective_and_residual_of_its_estimate(tv_instance, visibility):
+    # the loop forms the data term from B^T B f, B^T y and y . y; recomputing
+    # it from the residual y - B f gives the same value
+    op, grid, scene, y = tv_instance
+    if visibility:
+        op = VisibilityOperator(op)
+        assert op.factor is None  # 700 sketches, D = 528: the Gram form
+    rho = 0.01 * float(np.abs(op.adjoint(y)).max()) / y.size
+    res = solve_tv_nonneg(op, y, rho, SolverConfig(max_iterations=100))
+    resid = y - op.forward(res.estimate)
+    data = 0.5 * float(resid @ resid) / y.size
+    assert res.residual == pytest.approx(data, rel=1e-12, abs=0)
+    objective = data + rho * tv_norm(res.estimate)
+    assert res.objective_trace[-1] == pytest.approx(objective, rel=1e-12, abs=0)
+
+
+class CountingCalls:
+    """Forwards every operator call to ``op`` and counts it by name."""
+
+    def __init__(self, op):
+        self.op, self.grid, self.n = op, op.grid, op.n
+        self.calls = {}
+
+    def _count(self, name):
+        self.calls[name] = self.calls.get(name, 0) + 1
+        return getattr(self.op, name)
+
+    def forward(self, v):
+        return self._count("forward")(v)
+
+    def adjoint(self, z):
+        return self._count("adjoint")(z)
+
+    def normal(self, v):
+        return self._count("normal")(v)
+
+
+@pytest.mark.parametrize("iterations", [10, 20])
+def test_tv_loop_makes_one_normal_call_per_iteration(tv_instance, iterations):
+    op, grid, scene, y = tv_instance
+    counted = CountingCalls(op)
+    operator_norm(counted)  # cached on the operator: the solve runs no Lanczos
+    counted.calls.clear()
+    res = solve_tv_nonneg(counted, y, 1e-3, SolverConfig(max_iterations=iterations))
+    assert res.iterations == iterations
+    # B^T y before the loop, B^T B f once per iteration, B f for the residual
+    assert counted.calls == {"adjoint": 1, "normal": iterations, "forward": 1}
 
 
 def test_tv_norm_of_constant_is_zero():
