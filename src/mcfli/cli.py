@@ -17,9 +17,10 @@ moot is refused beside it: ``sweep`` takes exactly one of ``--q`` and
 ``--vis``, ``demo`` one of ``--scene`` and ``--n1``, and ``calibrate`` at
 most one of ``--amplitude-ripple`` and ``--phase-aberration``.  A ``sweep``
 value that ``SweepSpec`` rejects is a usage error too, before any trial runs,
-and so is a ``demo`` core count below 2 (one core has no core pairs to image
-with), another ``demo`` or ``calibrate`` count below 1 or a negative
-``calibrate --noise``, before ``--out`` makes a directory.
+and so are a ``trial``, ``rip`` or ``demo`` core count below 2 (one core has
+no core pairs), another count below 1 (``calibrate`` cores, measurements,
+sketches, ``sweep`` worker processes), fewer than 100 ``rip`` probe vectors
+and a negative ``calibrate --noise``, before ``--out`` makes a directory.
 """
 
 from __future__ import annotations
@@ -44,14 +45,6 @@ from .harness import (
 from .solvers import SolverConfig
 
 
-_SHARED_FLAGS = {
-    "--seed": dict(type=int, default=0, help="master seed"),
-    "--out": dict(type=str, default=None, help="output path"),
-    "--threads": dict(type=int, default=1, help="worker processes"),
-    "--config": dict(type=str, default=None, help="JSON config file"),
-}
-
-
 def _at_least(low, cast):
     """An argparse ``type`` that casts a flag value and refuses one below
     ``low`` (or NaN); an uncastable value keeps argparse's ``invalid <cast>
@@ -66,8 +59,15 @@ def _at_least(low, cast):
     return parse
 
 
-_count = _at_least(1, int)  # core, measurement and sketch counts
-_cores = _at_least(2, int)  # the demo's core counts: one core has no core pairs
+_count = _at_least(1, int)  # core, measurement, sketch and worker counts
+_cores = _at_least(2, int)  # core counts: one core has no core pairs
+
+_SHARED_FLAGS = {
+    "--seed": dict(type=int, default=0, help="master seed"),
+    "--out": dict(type=str, default=None, help="output path"),
+    "--threads": dict(type=_count, default=1, help="worker processes"),
+    "--config": dict(type=str, default=None, help="JSON config file"),
+}
 
 
 def _add_shared(parser, *flags):
@@ -153,7 +153,8 @@ def _cmd_demo(args):
     for entry in report.entries:
         print(
             f"q={entry.q} m={entry.m} rho={entry.rho:.3e} "
-            f"snr_db={entry.snr_db:.2f} iterations={entry.iterations}"
+            f"snr_db={entry.snr_db:.2f} iterations={entry.iterations} "
+            f"converged={entry.converged}"
         )
     if report.rs_snr_db is not None:
         print(f"rs_mode snr_db={report.rs_snr_db:.2f}")
@@ -186,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trial", help="single reconstruction trial")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--q", type=_cores, required=True)
+    p.add_argument("--m", type=_count, required=True)
     p.add_argument("--n1", type=int, default=DEFAULT_N1)
     p.add_argument("--solver", choices=SOLVERS, default=SOLVERS[0])
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD_DB)
@@ -212,10 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rip", help="empirical restricted-isometry constants")
     p.add_argument("--k", type=int, default=4)
-    p.add_argument("--q", type=int, default=16)
-    p.add_argument("--m", type=int, default=122)
+    p.add_argument("--q", type=_cores, default=16)
+    p.add_argument("--m", type=_count, default=122)
     p.add_argument("--n1", type=int, default=DEFAULT_N1)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_at_least(100, int), default=200)
     _add_shared(p, "--seed", "--out")
     p.set_defaults(func=_cmd_rip)
 

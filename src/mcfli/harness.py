@@ -152,10 +152,15 @@ class SweepSpec:
             raise ValueError("k_values and m_values must be nonempty")
         if bool(self.q_values) == bool(self.vis_targets):
             raise ValueError("set exactly one of q_values or vis_targets")
+        if min(self.q_values, default=2) < 2:
+            raise ValueError(f"q={min(self.q_values)} is below 2: one core has no core pairs")
+        if min(self.m_values) < 1:
+            raise ValueError(f"m={min(self.m_values)} is below 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.threshold_db <= 0:
             raise ValueError("threshold must be positive")
+        make_grid(1, self.n1, 1.0)  # raises on an n1 no grid takes
         if max(self.k_values) > self.n1:
             raise ValueError(f"k={max(self.k_values)} exceeds the grid size {self.n1}")
         if self.solver not in SOLVERS:
@@ -374,6 +379,7 @@ class DemoEntry:
     rho: float
     snr_db: float
     iterations: int
+    converged: bool  # the TV solver's flag: False after an iteration-cap hit
 
 
 @dataclass
@@ -412,9 +418,11 @@ def run_imaging_demo(
     The solves run on the map in visibility coordinates
     (:class:`~mcfli.sensing.VisibilityOperator`), with the pixel solve's
     results to rounding: at the default ``m = 3000`` against ``D = 2460``
-    coordinates, on its symmetric ``D x D`` Gram, one Gram product per
-    iteration in place of two products with the ``(m, n)`` pixel matrix;
-    below ``m = D``, on its ``(m, D)`` factor.  Writes
+    coordinates, on the upper triangle of its symmetric ``D x D`` Gram (about
+    half of the full Gram's memory), one Gram product per iteration in place
+    of two products with the ``(m, n)`` pixel matrix; below ``m = D``, on its
+    ``(m, D)`` factor.  Each entry carries the solver's ``converged`` flag,
+    so a solve that stopped at the iteration cap shows.  Writes
     graymaps, ``.npy`` arrays and a JSON report when ``out_dir`` is set.  Also
     images the scene in raster-scanning mode for comparison.
     """
@@ -455,7 +463,7 @@ def run_imaging_demo(
                 snr = vignetted_snr(res.estimate, truth, scene.vignette)
                 entries.append(
                     DemoEntry(q=qq, m=m, rho=float(rho), snr_db=snr,
-                              iterations=res.iterations)
+                              iterations=res.iterations, converged=res.converged)
                 )
                 if out_dir is not None:
                     tag = f"q{qq}_m{m}_rho{rho:.3e}"

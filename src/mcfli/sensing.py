@@ -16,9 +16,9 @@ reaches the measurements only through the bins the core pairs occupy, so the
 map factors as ``C Phi`` through :func:`image_to_visibilities` (``Phi``), the
 isometry onto real coordinates of the spectrum at those bins (adjoint
 :func:`visibilities_to_image`), which are fewer than the pixels whenever bins
-are left unoccupied.  :class:`VisibilityOperator` holds the smaller of ``C``
-and its Gram ``C^T C`` and applies the map's normal operator through it; the
-TV solve of the imaging demo runs on it.
+are left unoccupied.  :class:`VisibilityOperator` holds ``C`` or the upper
+triangle of its Gram ``C^T C`` and applies the map's normal operator through
+it; the TV solve of the imaging demo runs on it.
 
 Illumination has one model: a :class:`WavefieldSet` of per-core fields,
 whose speckle for a sketch ``alpha`` is ``|sum_q alpha_q E_q|^2``.  The set
@@ -34,7 +34,7 @@ calibration perturbs and recovers the fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -56,10 +56,14 @@ IMAG_RESIDUE_RTOL = 1e-12
 AS_MATRIX_CHUNK_BYTES = 1 << 16
 # the visibility Gram is accumulated from blocks of centred rows of the
 # (m, D) map, each at most this size; the pair products that fill a block and
-# the tile products it adds into the Gram take at most an eighth of it.  Each
-# block streams the Gram once, so a larger one saves time (at the demo point,
-# 8 MiB is 426 of 3000 rows and about 0.5 s of tile products, against 0.65 s
-# at 4 MiB), while the Gram and one block stay below the (m, D) matrix
+# the tile products it adds into the Gram's upper triangle take at most an
+# eighth of it.  Each block streams the stored triangle once, so a larger one
+# saves time (at the demo point, 8 MiB is 426 of 3000 rows and about 0.5 s of
+# tile products, against 0.65 s at 4 MiB), while the triangle and one block
+# stay below the (m, D) matrix.  The tiles' rows (362 at 8 MiB) also set the
+# triangle's row blocks: at D = 2460 its product makes 14 matrix-vector
+# products that stream 55 MB (the 27.7 MB triangle twice) against the full
+# Gram's 48 MB, while 20 row blocks of 128 rows made it about 1.5 times as slow
 GRAM_BLOCK_BYTES = 1 << 23
 
 
@@ -360,31 +364,56 @@ def _visibility_rows(layout: CoreLayout, srop: SropOperator, block: int):
         yield out
 
 
-def _visibility_gram(layout: CoreLayout, srop: SropOperator) -> np.ndarray:
-    """The symmetric ``(D, D)`` Gram ``C^T C`` of the ``(m, D)`` map ``C`` on
-    the visibility coordinates, with ``C`` never held whole.
+def _visibility_gram(layout: CoreLayout, srop: SropOperator) -> list[np.ndarray]:
+    """The upper triangle of the symmetric ``(D, D)`` Gram ``G = C^T C`` of
+    the ``(m, D)`` map ``C`` on the visibility coordinates, with ``C`` never
+    held whole and no lower tile stored.
 
-    Each block of :func:`_visibility_rows` (``GRAM_BLOCK_BYTES`` at most)
-    adds its products into the upper tiles of ``G``, and the lower tiles are
-    mirrored at the end, so ``G`` is exactly symmetric.  No tile product
-    exceeds an eighth of ``GRAM_BLOCK_BYTES``.
+    Returns the row blocks ``G[lo:hi, lo:]``, views into one buffer, whose
+    row ranges tile ``0..D``; a block's ``lo`` is ``D`` less its width.  Its
+    leading ``(hi - lo)`` square, the diagonal tile, is upper-triangular with
+    its diagonal halved, so :func:`_gram_product` counts it once through the
+    block and once through its transpose.  Each block of
+    :func:`_visibility_rows` (``GRAM_BLOCK_BYTES`` at most) adds its tile
+    products into the blocks; no tile product exceeds an eighth of
+    ``GRAM_BLOCK_BYTES``.  The blocks take ``(D^2 + D * tile) / 2`` floats at
+    most, against ``D^2`` for the full Gram.
     """
     real, pairs, _ = layout.visibility_bins
     dim = real.size + 2 * pairs.size
-    gram = np.zeros((dim, dim))
     if dim == 0:
-        return gram
+        return []
     tile = max(1, int(np.sqrt(GRAM_BLOCK_BYTES // 64)))
     edges = list(range(0, dim, tile)) + [dim]
     tiles = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    sizes = [(t.stop - t.start) * (dim - t.start) for t in tiles]
+    parts = np.split(np.zeros(sum(sizes)), np.cumsum(sizes)[:-1])
+    blocks = [part.reshape(t.stop - t.start, -1) for t, part in zip(tiles, parts)]
     for rows in _visibility_rows(layout, srop, max(1, GRAM_BLOCK_BYTES // (8 * dim))):
-        for i, ti in enumerate(tiles):
+        for i, (ti, block) in enumerate(zip(tiles, blocks)):
+            lo = ti.start
             for tj in tiles[i:]:
-                gram[ti, tj] += rows[:, ti].T @ rows[:, tj]
-    for i, ti in enumerate(tiles):
-        for tj in tiles[i + 1 :]:
-            gram[tj, ti] = gram[ti, tj].T
-    return gram
+                block[:, tj.start - lo : tj.stop - lo] += rows[:, ti].T @ rows[:, tj]
+    for block in blocks:
+        width = len(block)
+        corner = block[:, :width]
+        corner[np.tril_indices(width, -1)] = 0.0
+        corner[np.diag_indices(width)] *= 0.5
+    return blocks
+
+
+def _gram_product(blocks: list[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """``G v`` from the upper row blocks of :func:`_visibility_gram`: two
+    matrix-vector products per block, one with the block (its rows of the
+    upper triangle) and one with its transpose (the mirrored columns), so
+    each stored byte is streamed twice; numpy has no symmetric product."""
+    out = np.zeros_like(v)
+    for block in blocks:
+        rows, width = block.shape
+        lo = v.size - width
+        out[lo : lo + rows] += block.dot(v[lo:])
+        out[lo:] += v[lo : lo + rows].dot(block)
+    return out
 
 
 class VisibilityOperator:
@@ -395,10 +424,13 @@ class VisibilityOperator:
     ``Phi`` is :func:`image_to_visibilities` and ``C`` the ``(m, D)`` map on
     the coordinates.  Around one FFT and one inverse FFT, ``normal`` costs
     either two products with ``C`` (``as_matrix(basis="visibilities")``) or
-    one with the symmetric ``(D, D)`` Gram ``G = C^T C``
-    (:func:`_visibility_gram`, built without holding ``C``).  The operator
-    holds the smaller of the two: ``C`` when ``m < D`` and ``G`` otherwise.
-    Per call ``G`` is the cheaper from ``m = D / 2`` on, but its build costs
+    one with the symmetric ``(D, D)`` Gram ``G = C^T C``, held as its upper
+    triangle (:func:`_visibility_gram`, about ``D^2 / 2`` floats, built
+    without holding ``C``) and applied by :func:`_gram_product`.  The
+    operator holds ``C`` when ``m < D`` and the upper triangle of ``G``
+    otherwise.  Per call ``G`` is the cheaper from ``m = D / 2`` on (its
+    product streams the ``D^2 / 2`` stored floats twice, against ``m D``
+    twice for ``C``), but its build costs
     ``m D^2`` flops, and on a 2-CPU host at ``D = 2460`` the solve on ``C``
     stayed the faster up to ``m`` between ``0.6 D`` (2000 iterations) and
     ``0.8 D`` (300 iterations).  The norm bound is Lanczos on whichever is
@@ -419,8 +451,8 @@ class VisibilityOperator:
             self.coords = self.factor
         else:
             self.factor = None
-            gram = _visibility_gram(op.layout, op.srop)
-            self.coords = SimpleNamespace(n=dim, normal=gram.dot)
+            blocks = _visibility_gram(op.layout, op.srop)
+            self.coords = SimpleNamespace(n=dim, normal=partial(_gram_product, blocks))
         # Phi is a co-isometry, so ||B|| = ||C||: the bound is certified on
         # the D coordinates, with no FFT per step
         self._norm_bound = operator_norm(self.coords)

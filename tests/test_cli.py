@@ -90,8 +90,15 @@ def test_moot_or_missing_flags_exit_2(argv, error, capsys):
     "flags, error",
     [(["--trials", "0"], "trials must be >= 1"),
      (["--threshold=-5"], "threshold must be positive"),
-     (["--k", "300", "--n1", "256", "--threads", "2"], "k=300 exceeds the grid size 256")],
-    ids=["trials-0", "negative-threshold", "k-above-n1"],
+     (["--k", "300", "--n1", "256", "--threads", "2"], "k=300 exceeds the grid size 256"),
+     (["--q", "1"], "q=1 is below 2"),
+     (["--q", "26", "1"], "q=1 is below 2"),
+     (["--m", "0"], "m=0 is below 1"),
+     (["--m", "44", "0"], "m=0 is below 1"),
+     (["--n1", "255"], "n1 must be even and >= 2, got 255"),
+     (["--n1", "0"], "n1 must be even and >= 2, got 0")],
+    ids=["trials-0", "negative-threshold", "k-above-n1", "q-1", "q-26-1", "m-0",
+         "m-44-0", "odd-n1", "n1-0"],
 )
 def test_sweep_values_the_spec_rejects_exit_2(flags, error, monkeypatch, capsys):
     # a value the sweep spec refuses is a usage error, raised before any
@@ -115,9 +122,16 @@ def test_sweep_values_the_spec_rejects_exit_2(flags, error, monkeypatch, capsys)
      (["demo", "--m", "0"], "argument --m: must be >= 1, got 0"),
      (["calibrate", "--q", "0"], "argument --q: must be >= 1, got 0"),
      (["calibrate", "--sketches", "0"], "argument --sketches: must be >= 1, got 0"),
-     (["calibrate", "--noise=-0.5"], "argument --noise: must be >= 0, got -0.5")],
+     (["calibrate", "--noise=-0.5"], "argument --noise: must be >= 0, got -0.5"),
+     (["trial", "--k", "1", "--q", "1", "--m", "8"], "argument --q: must be >= 2, got 1"),
+     (["trial", "--k", "1", "--q", "4", "--m", "0"], "argument --m: must be >= 1, got 0"),
+     (["rip", "--q", "1"], "argument --q: must be >= 2, got 1"),
+     (["rip", "--m", "0"], "argument --m: must be >= 1, got 0"),
+     (["rip", "--trials", "99"], "argument --trials: must be >= 100, got 99"),
+     (["sweep", "--q", "4", "--threads", "0"], "argument --threads: must be >= 1, got 0")],
     ids=["demo-compare-q-0", "demo-compare-q-1", "demo-q-0", "demo-q-1", "demo-m-0",
-         "calibrate-q-0", "calibrate-sketches-0", "calibrate-negative-noise"],
+         "calibrate-q-0", "calibrate-sketches-0", "calibrate-negative-noise",
+         "trial-q-1", "trial-m-0", "rip-q-1", "rip-m-0", "rip-trials-99", "sweep-threads-0"],
 )
 def test_out_of_range_values_exit_2(argv, error, tmp_path, capsys):
     # refused while parsing: nothing runs and --out makes no directory
@@ -197,6 +211,9 @@ def test_demo_command(tmp_path, capsys):
     entries = json.loads((tmp_path / "report.json").read_text())["entries"]
     assert len(entries) == 3
     for entry in entries:
+        # the 60-iteration cap stops every solve short of the 1e-6 tolerance
+        assert entry["converged"] is False
+        assert f"iterations={entry['iterations']} converged=False" in out
         tag = f"q{entry['q']}_m{entry['m']}_rho{entry['rho']:.3e}"
         recon = np.load(tmp_path / f"recon_{tag}.npy")
         assert recon.dtype == np.float64 and recon.shape == (64, 64)

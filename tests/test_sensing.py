@@ -1,3 +1,6 @@
+from functools import partial
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -463,15 +466,39 @@ def test_visibility_matrix_factors_the_pixel_matrix(case, monkeypatch):
     factored = op.as_matrix(basis="visibilities") @ phi
     assert np.linalg.norm(factored - pixels) <= 1e-13 * np.linalg.norm(pixels)
     assert op.as_matrix(basis="visibilities") is op.as_matrix(basis="visibilities")
-    # Phi^T G Phi is the pixel Gram; a 4 KiB budget splits the build into
-    # several row blocks, pair-product chunks and tiles
+    # Phi^T G Phi is the pixel Gram, with G applied to Phi's columns through
+    # its upper blocks; a 4 KiB budget splits the build into several row
+    # blocks, pair-product chunks and tiles
     expect = pixels.T @ pixels
     for budget in (sensing.GRAM_BLOCK_BYTES, 1 << 12):
         monkeypatch.setattr(sensing, "GRAM_BLOCK_BYTES", budget)
-        gram = sensing._visibility_gram(op.layout, op.srop)
-        assert gram.shape == (phi.shape[0],) * 2
-        assert np.array_equal(gram, gram.T)
-        assert np.linalg.norm(phi.T @ gram @ phi - expect) <= 1e-13 * np.linalg.norm(expect)
+        blocks = sensing._visibility_gram(op.layout, op.srop)
+        gram_phi = np.stack([sensing._gram_product(blocks, col) for col in phi.T], axis=1)
+        assert np.linalg.norm(phi.T @ gram_phi - expect) <= 1e-13 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("case", VISIBILITY_CASES)
+def test_visibility_gram_holds_only_its_upper_triangle(case, monkeypatch):
+    op = _visibility_case(case)
+    c = op.as_matrix(basis="visibilities")
+    dim = c.shape[1]
+    v = np.random.default_rng(4).standard_normal(dim)
+    want = c.T @ (c @ v)
+    full = operator_norm(SimpleNamespace(n=dim, normal=(c.T @ c).dot))
+    # a 4 KiB budget gives 8-row tiles: several blocks, the last one ragged
+    for budget in (sensing.GRAM_BLOCK_BYTES, 1 << 12):
+        monkeypatch.setattr(sensing, "GRAM_BLOCK_BYTES", budget)
+        tile = int(np.sqrt(budget // 64))
+        blocks = sensing._visibility_gram(op.layout, op.srop)
+        # row blocks G[lo:hi, lo:] over 0..D, views into one buffer
+        assert [dim - b.shape[1] for b in blocks] == list(range(0, dim, tile))
+        assert sum(len(b) for b in blocks) == dim
+        assert len({id(b.base) for b in blocks}) == 1
+        assert sum(b.nbytes for b in blocks) <= (dim**2 + dim * tile) / 2 * 8
+        product = partial(sensing._gram_product, blocks)
+        assert np.linalg.norm(product(v) - want) <= 1e-13 * np.linalg.norm(want)
+        bound = operator_norm(SimpleNamespace(n=dim, normal=product))
+        assert bound == pytest.approx(full, rel=LANCZOS_RTOL)
 
 
 @pytest.mark.parametrize("case", VISIBILITY_CASES)
