@@ -18,9 +18,11 @@ moot is refused beside it: ``sweep`` takes exactly one of ``--q`` and
 most one of ``--amplitude-ripple`` and ``--phase-aberration``.  A ``sweep``
 value that ``SweepSpec`` rejects is a usage error too, before any trial runs,
 and so are a ``trial``, ``rip`` or ``demo`` core count below 2 (one core has
-no core pairs), another count below 1 (``calibrate`` cores, measurements,
-sketches, ``sweep`` worker processes), fewer than 100 ``rip`` probe vectors
-and a negative ``calibrate --noise``, before ``--out`` makes a directory.
+no core pairs), another count below 1 (``--k`` sparsity levels, ``calibrate``
+cores, measurements, sketches, ``sweep`` worker processes), an ``--n1`` that
+no grid takes (odd or below 2), a ``trial`` or ``rip`` ``--k`` above
+``--n1``, fewer than 100 ``rip`` probe vectors and a negative ``calibrate
+--noise``, before ``--out`` makes a directory.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import json
 import sys
 from functools import partial
 
+from .grid import make_grid
 from .harness import (
     DEFAULT_N1,
     DEFAULT_THRESHOLD_DB,
@@ -59,8 +62,22 @@ def _at_least(low, cast):
     return parse
 
 
-_count = _at_least(1, int)  # core, measurement, sketch and worker counts
+_count = _at_least(1, int)  # sparsity, core, measurement, sketch and worker counts
 _cores = _at_least(2, int)  # core counts: one core has no core pairs
+
+
+def _grid_size(text):
+    """An argparse ``type`` for ``--n1``: an int that :func:`make_grid`
+    accepts (even and at least 2)."""
+    n1 = int(text)
+    try:
+        make_grid(1, n1, 1.0)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return n1
+
+
+_grid_size.__name__ = "int"
 
 _SHARED_FLAGS = {
     "--seed": dict(type=int, default=0, help="master seed"),
@@ -89,7 +106,14 @@ def _write(text, path):
         sys.stdout.write(text)
 
 
-def _cmd_trial(args):
+def _check_sparsity(args, parser):
+    """Refuse a sparsity level above the grid size as a usage error."""
+    if args.k > args.n1:
+        parser.error(f"k={args.k} exceeds the grid size {args.n1}")
+
+
+def _cmd_trial(args, parser):
+    _check_sparsity(args, parser)
     config = SolverConfig(**_load_json(args.config)) if args.config else None
     result = run_trial(
         args.k, args.q, args.m, args.seed, solver=args.solver, n1=args.n1,
@@ -121,7 +145,8 @@ def _cmd_sweep(args, parser):
     return 0
 
 
-def _cmd_rip(args):
+def _cmd_rip(args, parser):
+    _check_sparsity(args, parser)
     est = estimate_rip_constants(
         args.k, args.q, args.m, args.trials, args.seed, n1=args.n1
     )
@@ -186,23 +211,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("trial", help="single reconstruction trial")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_count, required=True)
     p.add_argument("--q", type=_cores, required=True)
     p.add_argument("--m", type=_count, required=True)
-    p.add_argument("--n1", type=int, default=DEFAULT_N1)
+    p.add_argument("--n1", type=_grid_size, default=DEFAULT_N1)
     p.add_argument("--solver", choices=SOLVERS, default=SOLVERS[0])
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD_DB)
     _add_shared(p, "--seed", "--config")
-    p.set_defaults(func=_cmd_trial)
+    p.set_defaults(func=partial(_cmd_trial, parser=p))
 
     p = sub.add_parser("sweep", help="phase-transition sweep")
-    p.add_argument("--k", type=int, nargs="+", default=[4], help="sparsity levels")
+    p.add_argument("--k", type=_count, nargs="+", default=[4], help="sparsity levels")
     p.add_argument("--m", type=int, nargs="+", default=[44], help="measurement counts")
     cores = p.add_mutually_exclusive_group(required=True)
     cores.add_argument("--q", type=int, nargs="+", help="core counts")
     cores.add_argument("--vis", type=int, nargs="+",
                        help="target distinct-visibility counts")
-    p.add_argument("--n1", type=int, default=DEFAULT_N1, help="grid size")
+    p.add_argument("--n1", type=_grid_size, default=DEFAULT_N1, help="grid size")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="trials per cell")
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD_DB,
                    help="success SNR in dB")
@@ -212,19 +237,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=partial(_cmd_sweep, parser=p))
 
     p = sub.add_parser("rip", help="empirical restricted-isometry constants")
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--k", type=_count, default=4)
     p.add_argument("--q", type=_cores, default=16)
     p.add_argument("--m", type=_count, default=122)
-    p.add_argument("--n1", type=int, default=DEFAULT_N1)
+    p.add_argument("--n1", type=_grid_size, default=DEFAULT_N1)
     p.add_argument("--trials", type=_at_least(100, int), default=200)
     _add_shared(p, "--seed", "--out")
-    p.set_defaults(func=_cmd_rip)
+    p.set_defaults(func=partial(_cmd_rip, parser=p))
 
     p = sub.add_parser("demo", help="2-D imaging demo")
     grid = p.add_mutually_exclusive_group()
     grid.add_argument("--scene", type=str, default=None,
                       help="scene JSON file (its grid sets the size)")
-    grid.add_argument("--n1", type=int, default=64, help="grid size of the bar target")
+    grid.add_argument("--n1", type=_grid_size, default=64, help="grid size of the bar target")
     p.add_argument("--q", type=_cores, default=110)
     p.add_argument("--m", type=_count, nargs="+", default=[3000])
     p.add_argument("--compare-q", type=_cores, nargs="+", default=None)
@@ -232,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_demo)
 
     p = sub.add_parser("calibrate", help="synthetic calibration round trip")
-    p.add_argument("--n1", type=int, default=32)
+    p.add_argument("--n1", type=_grid_size, default=32)
     p.add_argument("--q", type=_count, default=12)
     p.add_argument("--noise", type=_at_least(0, float), default=0.0)
     p.add_argument("--sketches", type=_count, default=20)

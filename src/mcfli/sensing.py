@@ -11,9 +11,10 @@ to the output.  The first map is written once, as :func:`image_to_matrix`
 :func:`matrix_to_image` (scatter, then one inverse FFT); the fused operator,
 its dense matrix and the raster scan all compose that pair.  A sketch set is
 a complex ``(m, q)`` array, whose quadratic forms :class:`SropOperator` alone
-takes.  The image
-reaches the measurements only through the bins the core pairs occupy, so the
-map factors as ``C Phi`` through :func:`image_to_visibilities` (``Phi``), the
+takes, a bounded chunk of rows at a time, with no other copy of the array
+held.  The image reaches the measurements only through the bins the core
+pairs occupy, so the map factors as ``C Phi`` through
+:func:`image_to_visibilities` (``Phi``), the
 isometry onto real coordinates of the spectrum at those bins (adjoint
 :func:`visibilities_to_image`), which are fewer than the pixels whenever bins
 are left unoccupied.  :class:`VisibilityOperator` holds ``C`` or the upper
@@ -34,7 +35,7 @@ calibration perturbs and recovers the fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -63,7 +64,8 @@ AS_MATRIX_CHUNK_BYTES = 1 << 16
 # stay below the (m, D) matrix.  The tiles' rows (362 at 8 MiB) also set the
 # triangle's row blocks: at D = 2460 its product makes 14 matrix-vector
 # products that stream 55 MB (the 27.7 MB triangle twice) against the full
-# Gram's 48 MB, while 20 row blocks of 128 rows made it about 1.5 times as slow
+# Gram's 48 MB, while 20 row blocks of 128 rows made it about 1.5 times as slow.
+# The SROP's row chunks (_row_chunks) take the same eighth
 GRAM_BLOCK_BYTES = 1 << 23
 
 
@@ -167,11 +169,12 @@ class SropOperator:
     each row ``a`` of the complex ``(m, q)`` sketch array (random, Nyquist
     pairs or raster steering); with ``centered=True`` the measurement mean is
     subtracted, which makes the map blind to the matrix diagonal (unit-modulus
-    sketches put identical weight on every diagonal entry).  The conjugate
-    sketches are cached on first use, so repeated calls (one forward and one
-    adjoint per solver iteration) do not build them again.  ``as_matrix``
-    gives the same map as a dense real matrix on the float64 view of the
-    Hermitian matrix.
+    sketches put identical weight on every diagonal entry).  The operator
+    holds the sketch array and nothing else: ``forward``, ``adjoint`` and
+    ``as_matrix`` take the sketches a chunk of rows at a time
+    (:func:`_row_chunks`, at most an eighth of ``GRAM_BLOCK_BYTES`` of complex
+    rows) and conjugate each chunk as they go.  ``as_matrix`` gives the same
+    map as a dense real matrix on the float64 view of the Hermitian matrix.
     """
 
     def __init__(self, sketches: np.ndarray, centered: bool = False):
@@ -182,15 +185,27 @@ class SropOperator:
         self.centered = centered
         self.m, self.q = sketches.shape
 
-    @cached_property
-    def _sketches_conj(self) -> np.ndarray:
-        return self.sketches.conj()
+    def _chunks(self):
+        """Yield each row chunk of the sketches with a ``(rows, q)`` complex
+        work array, a view into one buffer that every chunk reuses."""
+        chunks = _row_chunks(self.m, 16 * self.q)
+        rows = max((c.stop - c.start for c in chunks), default=0)
+        work = np.empty((rows, self.q), dtype=np.complex128)
+        for part in chunks:
+            yield part, work[: part.stop - part.start]
 
     def forward(self, matrix) -> np.ndarray:
         h = np.asarray(matrix, dtype=np.complex128)
         if h.shape != (self.q, self.q):
             raise ValueError(f"expected a {self.q}x{self.q} matrix, got {h.shape}")
-        y = np.einsum("mq,mq->m", self._sketches_conj, self.sketches @ h.T)
+        # per chunk, conj(a H^T) . a: the conjugate of a^H H a, whose real
+        # part has the bits of the one-shot einsum(conj(A), A @ H.T)
+        y = np.empty(self.m, dtype=np.complex128)
+        for part, work in self._chunks():
+            a = self.sketches[part]
+            np.matmul(a, h.T, out=work)
+            np.conjugate(work, out=work)
+            np.einsum("mq,mq->m", work, a, out=y[part])
         scale = max(np.linalg.norm(h), np.finfo(float).tiny)
         residue = np.abs(y.imag).max()
         if residue > IMAG_RESIDUE_RTOL * scale:
@@ -210,7 +225,18 @@ class SropOperator:
             raise ValueError(f"expected {self.m} weights, got shape {z.shape}")
         if self.centered:
             z = z - z.mean()
-        return (self.sketches.T * z) @ self._sketches_conj
+        return self._outer_sum(z)
+
+    def _outer_sum(self, z: np.ndarray) -> np.ndarray:
+        """``sum_i z_i a_i a_i^H``, uncentred, as ``a^T (conj(a) z)`` summed
+        over the row chunks."""
+        out = np.zeros((self.q, self.q), dtype=np.complex128)
+        for part, work in self._chunks():
+            a = self.sketches[part]
+            np.conjugate(a, out=work)
+            work *= z[part, None]
+            out += a.T @ work
+        return out
 
     def as_matrix(self) -> np.ndarray:
         """Dense real ``(m, 2 q^2)`` matrix of the map.
@@ -222,10 +248,24 @@ class SropOperator:
         The rows lie in the Hermitian subspace, so the matrix has the map's
         norm.
         """
-        a = self.sketches
-        rows = (a[:, :, None] * self._sketches_conj[:, None, :]).view(np.float64)
-        rows = rows.reshape(self.m, -1)
+        outer = np.empty((self.m, self.q, self.q), dtype=np.complex128)
+        for part, work in self._chunks():
+            a = self.sketches[part]
+            np.multiply(a[:, :, None], np.conjugate(a, out=work)[:, None, :], out=outer[part])
+        rows = outer.view(np.float64).reshape(self.m, -1)
         return rows - rows.mean(axis=0) if self.centered else rows
+
+
+def _row_chunks(m: int, row_bytes: int) -> list[slice]:
+    """Row ranges over ``0..m`` of at most an eighth of ``GRAM_BLOCK_BYTES``
+    each (at least one row), except that a one-row remainder joins the chunk
+    before it: numpy sends a one-row matrix product to a matrix-vector
+    product, whose bits differ from the matrix product's."""
+    size = max(1, GRAM_BLOCK_BYTES // 8 // row_bytes)
+    edges = list(range(0, m, size))
+    if len(edges) > 1 and m - edges[-1] == 1:
+        edges.pop()
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:] + [m])]
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +364,8 @@ def _visibility_rows(layout: CoreLayout, srop: SropOperator, block: int):
     products ``a_j conj(a_k)`` of the core pairs whose bin has a slot, sorted
     by slot and summed per slot with ``np.add.reduceat``, a chunk of
     sketches at a time with no chunk above an eighth of
-    ``GRAM_BLOCK_BYTES``.  The conjugate sketches are the ones ``srop``
-    caches.  The layout must have at least one core pair.
+    ``GRAM_BLOCK_BYTES``, each conjugated as it goes.  The layout must have
+    at least one core pair.
     """
     real, pairs, _ = layout.visibility_bins
     n_real, n_slots = real.size, real.size + pairs.size
@@ -344,9 +384,9 @@ def _visibility_rows(layout: CoreLayout, srop: SropOperator, block: int):
     def coordinates(slot_sums):
         return _real_coordinates(slot_sums[..., :n_real], slot_sums[..., n_real:])
 
-    sketches, conj, m = srop.sketches, srop._sketches_conj, srop.m
+    sketches, m = srop.sketches, srop.m
     # the mean row, from the mean outer product: the rows are linear in it
-    mean_outer = (sketches.T @ conj).ravel() / m
+    mean_outer = srop._outer_sum(np.ones(m)).ravel() / m
     mean_row = scale * coordinates(np.add.reduceat(mean_outer[kept], starts))
 
     chunk = max(1, GRAM_BLOCK_BYTES // 8 // (16 * kept.size))
@@ -356,7 +396,7 @@ def _visibility_rows(layout: CoreLayout, srop: SropOperator, block: int):
         for lo in range(0, len(out), chunk):
             part = slice(start + lo, start + min(lo + chunk, len(out)))
             products = sketches[part][:, first]
-            products *= conj[part][:, second]
+            products *= sketches[part].conj()[:, second]
             sums = np.add.reduceat(products, starts, axis=1)
             sums *= scale
             out[lo : lo + len(sums)] = coordinates(sums)

@@ -14,6 +14,9 @@ def draw_sketches(q: int, m: int, seed) -> np.ndarray:
     if m < 1 or q < 1:
         raise ValueError(f"need m >= 1 and q >= 1, got m={m}, q={q}")
     rng = np.random.default_rng(seed)
-    sketches = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(m, q)))
+    # exponentiated in place: the bits of np.exp(1j * phases), with one complex
+    # array made instead of two
+    sketches = 1j * rng.uniform(0.0, 2.0 * np.pi, size=(m, q))
+    np.exp(sketches, out=sketches)
     sketches.setflags(write=False)
     return sketches

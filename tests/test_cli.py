@@ -95,8 +95,8 @@ def test_moot_or_missing_flags_exit_2(argv, error, capsys):
      (["--q", "26", "1"], "q=1 is below 2"),
      (["--m", "0"], "m=0 is below 1"),
      (["--m", "44", "0"], "m=0 is below 1"),
-     (["--n1", "255"], "n1 must be even and >= 2, got 255"),
-     (["--n1", "0"], "n1 must be even and >= 2, got 0")],
+     (["--n1", "255"], "argument --n1: n1 must be even and >= 2, got 255"),
+     (["--n1", "0"], "argument --n1: n1 must be even and >= 2, got 0")],
     ids=["trials-0", "negative-threshold", "k-above-n1", "q-1", "q-26-1", "m-0",
          "m-44-0", "odd-n1", "n1-0"],
 )
@@ -128,10 +128,22 @@ def test_sweep_values_the_spec_rejects_exit_2(flags, error, monkeypatch, capsys)
      (["rip", "--q", "1"], "argument --q: must be >= 2, got 1"),
      (["rip", "--m", "0"], "argument --m: must be >= 1, got 0"),
      (["rip", "--trials", "99"], "argument --trials: must be >= 100, got 99"),
-     (["sweep", "--q", "4", "--threads", "0"], "argument --threads: must be >= 1, got 0")],
+     (["sweep", "--q", "4", "--threads", "0"], "argument --threads: must be >= 1, got 0"),
+     (["trial", "--k", "0", "--q", "4", "--m", "8"], "argument --k: must be >= 1, got 0"),
+     (["sweep", "--q", "4", "--k", "4", "0"], "argument --k: must be >= 1, got 0"),
+     (["rip", "--k", "0"], "argument --k: must be >= 1, got 0"),
+     (["trial", "--k", "1", "--q", "4", "--m", "8", "--n1", "7"],
+      "argument --n1: n1 must be even and >= 2, got 7"),
+     (["rip", "--n1", "7"], "argument --n1: n1 must be even and >= 2, got 7"),
+     (["demo", "--n1", "7"], "argument --n1: n1 must be even and >= 2, got 7"),
+     (["calibrate", "--n1", "7"], "argument --n1: n1 must be even and >= 2, got 7"),
+     (["demo", "--n1", "x"], "argument --n1: invalid int value: 'x'"),
+     (["rip", "--k", "65", "--n1", "64"], "k=65 exceeds the grid size 64")],
     ids=["demo-compare-q-0", "demo-compare-q-1", "demo-q-0", "demo-q-1", "demo-m-0",
          "calibrate-q-0", "calibrate-sketches-0", "calibrate-negative-noise",
-         "trial-q-1", "trial-m-0", "rip-q-1", "rip-m-0", "rip-trials-99", "sweep-threads-0"],
+         "trial-q-1", "trial-m-0", "rip-q-1", "rip-m-0", "rip-trials-99", "sweep-threads-0",
+         "trial-k-0", "sweep-k-0", "rip-k-0", "trial-odd-n1", "rip-odd-n1", "demo-odd-n1",
+         "calibrate-odd-n1", "demo-n1-not-int", "rip-k-above-n1"],
 )
 def test_out_of_range_values_exit_2(argv, error, tmp_path, capsys):
     # refused while parsing: nothing runs and --out makes no directory
@@ -144,6 +156,16 @@ def test_out_of_range_values_exit_2(argv, error, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_trial_sparsity_above_the_grid_exits_2(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "run_trial", lambda *a, **k: calls.append(a))
+    with pytest.raises(SystemExit) as exc:
+        main(["trial", "--k", "65", "--q", "4", "--m", "8", "--n1", "64"])
+    assert exc.value.code == 2
+    assert "mcfli trial: error: k=65 exceeds the grid size 64" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_demo_with_missing_scene_creates_no_directory(tmp_path):
     out = tmp_path / "d"
     with pytest.raises(FileNotFoundError):
@@ -151,11 +173,13 @@ def test_demo_with_missing_scene_creates_no_directory(tmp_path):
     assert not out.exists()
 
 
-def test_calibrate_with_a_bad_grid_creates_no_directory(tmp_path):
-    # the directory is made only once there is something to write into it
+def test_calibrate_with_a_bad_grid_creates_no_directory(tmp_path, capsys):
+    # refused as a usage error while parsing, before --out makes a directory
     out = tmp_path / "d"
-    with pytest.raises(ValueError, match="n1 must be even"):
+    with pytest.raises(SystemExit) as exc:
         main(["calibrate", "--n1", "0", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --n1: n1 must be even" in capsys.readouterr().err
     assert not out.exists()
 
 

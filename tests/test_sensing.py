@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 from types import SimpleNamespace
 
@@ -268,6 +269,52 @@ def test_srop_adjoint_identity():
         lhs = op.forward(h) @ z
         rhs = np.sum(np.conj(op.adjoint(z)) * h).real
         assert lhs == pytest.approx(rhs, rel=1e-11)
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+def test_chunked_srop_matches_the_one_shot_forms(rows, monkeypatch):
+    # a budget of 2 or 3 sketch rows: 13 rows leave a one-row remainder,
+    # which joins the chunk before it
+    q, m = 7, 13
+    monkeypatch.setattr(sensing, "GRAM_BLOCK_BYTES", 8 * 16 * q * rows)
+    sizes = [c.stop - c.start for c in sensing._row_chunks(m, 16 * q)]
+    assert sizes == [rows] * (m // rows - 1) + [rows + 1]
+    sk = draw_sketches(q, m, seed=12)
+    h = random_hermitian(q, seed=13)
+    z = np.random.default_rng(14).standard_normal(m)
+    raw = np.einsum("mq,mq->m", sk.conj(), sk @ h.T).real
+    outer = (sk[:, :, None] * sk.conj()[:, None, :]).view(np.float64).reshape(m, -1)
+    for centered in (False, True):
+        op = SropOperator(sk, centered=centered)
+        zc = z - z.mean() if centered else z
+        want = (sk.T * zc) @ sk.conj()
+        assert np.array_equal(op.forward(h), raw - raw.mean() if centered else raw)
+        assert np.linalg.norm(op.adjoint(z) - want) <= 1e-13 * np.linalg.norm(want)
+        rows_want = outer - outer.mean(axis=0) if centered else outer
+        assert np.array_equal(op.as_matrix(), rows_want)
+
+
+def test_srop_holds_only_its_sketches():
+    # at the 2-D point one (m, q) complex array is 5.3 MB: the operator keeps
+    # no copy of it past a call, and a call's temporaries stay near the 1 MiB
+    # chunk budget
+    grid = make_grid(2, 64, 1.0)
+    layout = fermat_spiral_layout(grid, 110)
+    sketches = draw_sketches(110, 3000, seed=0)
+    v = np.random.default_rng(1).standard_normal(grid.n_points)
+    CombinedOperator(layout, sketches[:2]).normal(v)  # fills the layout's caches
+    tracemalloc.start()
+    try:
+        op = CombinedOperator(layout, sketches)
+        op.normal(v)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        op.normal(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1 << 16
+    assert peak - held <= 2 << 20
 
 
 def test_lemma1_second_moment_identity():

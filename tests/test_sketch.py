@@ -52,11 +52,16 @@ def test_unit_modulus_property(q, m, seed):
 
 
 def test_sketch_stream_is_pinned_and_read_only():
-    # the bits of the phase stream every seeded sweep and demo rests on
-    sketches = draw_sketches(5, 7, seed=3)
-    phases = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, (7, 5))
-    assert sketches.dtype == np.complex128
-    assert sketches.tobytes() == np.exp(1j * phases).tobytes()
-    assert not sketches.flags.writeable
-    with pytest.raises(ValueError):
-        sketches[0, 0] = 1.0
+    # the bits of the phase stream every seeded sweep and demo rests on: a
+    # small set, one sketch, and seed sequences at a sweep cell's size and at
+    # the 2-D point's
+    cases = [(5, 7, 3), (1, 1, 0), (26, 98, np.random.SeedSequence((20260809, 4, 26, 98, 0))),
+             (110, 3000, np.random.SeedSequence((100, 110, 3000)))]
+    for q, m, seed in cases:
+        sketches = draw_sketches(q, m, seed=seed)
+        phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (m, q))
+        assert sketches.dtype == np.complex128
+        assert sketches.tobytes() == np.exp(1j * phases).tobytes()
+        assert not sketches.flags.writeable
+        with pytest.raises(ValueError):
+            sketches[0, 0] = 1.0
