@@ -12,7 +12,6 @@ from .calibration import (
     synth_fields,
 )
 from .grid import Grid, make_grid
-from .hermitian import random_hermitian
 from .layout import (
     CoreLayout,
     downsample_layout,
@@ -20,16 +19,7 @@ from .layout import (
     fermat_spiral_layout,
     random_layout_1d,
 )
-from .scene import (
-    SceneImage,
-    bar_target_scene,
-    delta_scene,
-    gaussian_vignette,
-    rectangles_scene,
-    sparse_scene,
-    spikes_scene,
-    zeros_scene,
-)
+from .scene import SceneImage, bar_target_scene, sparse_scene
 from .sensing import (
     CombinedOperator,
     SropOperator,
@@ -64,13 +54,7 @@ __all__ = [
     "draw_sketches",
     "SceneImage",
     "sparse_scene",
-    "spikes_scene",
-    "delta_scene",
-    "rectangles_scene",
     "bar_target_scene",
-    "zeros_scene",
-    "gaussian_vignette",
-    "random_hermitian",
     "SropOperator",
     "CombinedOperator",
     "interferometric_matrix",

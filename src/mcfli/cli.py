@@ -16,13 +16,15 @@ declares only the flags it reads, and a flag that another one would make
 moot is refused beside it: ``sweep`` takes exactly one of ``--q`` and
 ``--vis``, ``demo`` one of ``--scene`` and ``--n1``, and ``calibrate`` at
 most one of ``--amplitude-ripple`` and ``--phase-aberration``.  A ``sweep``
-value that ``SweepSpec`` rejects is a usage error too, before any trial runs,
-and so are a ``trial``, ``rip`` or ``demo`` core count below 2 (one core has
-no core pairs), another count below 1 (``--k`` sparsity levels, ``calibrate``
-cores, measurements, sketches, ``sweep`` worker processes), an ``--n1`` that
-no grid takes (odd or below 2), a ``trial`` or ``rip`` ``--k`` above
-``--n1``, fewer than 100 ``rip`` probe vectors and a negative ``calibrate
---noise``, before ``--out`` makes a directory.
+value that ``SweepSpec`` rejects is a usage error too, before any trial runs
+(a ``--vis`` target below 1 among them), and so are a ``trial``, ``rip`` or
+``demo`` core count below 2 (one core has no core pairs), another count
+below 1 (``--k`` sparsity levels, ``calibrate`` cores, measurements,
+sketches, ``sweep`` worker processes), an ``--n1`` that no grid takes (odd
+or below 2), a ``trial`` or ``rip`` ``--k`` above ``--n1``, fewer than 100
+``rip`` probe vectors, a negative ``calibrate --noise`` and a ``--config``
+file that cannot be read, is not JSON or holds fields that ``SolverConfig``
+refuses, before ``--out`` makes a directory.
 """
 
 from __future__ import annotations
@@ -79,22 +81,30 @@ def _grid_size(text):
 
 _grid_size.__name__ = "int"
 
+
+def _solver_config(path):
+    """An argparse ``type`` for ``--config``: the :class:`SolverConfig` of a
+    JSON object of its fields."""
+    try:
+        with open(path) as fh:
+            return SolverConfig(**json.load(fh))
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"can't read {path!r}: {exc.strerror}") from None
+    except (TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"{path!r}: {exc}") from None
+
+
 _SHARED_FLAGS = {
     "--seed": dict(type=int, default=0, help="master seed"),
     "--out": dict(type=str, default=None, help="output path"),
     "--threads": dict(type=_count, default=1, help="worker processes"),
-    "--config": dict(type=str, default=None, help="JSON config file"),
+    "--config": dict(type=_solver_config, default=None, help="JSON solver config file"),
 }
 
 
 def _add_shared(parser, *flags):
     for flag in flags:
         parser.add_argument(flag, **_SHARED_FLAGS[flag])
-
-
-def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def _write(text, path):
@@ -114,10 +124,9 @@ def _check_sparsity(args, parser):
 
 def _cmd_trial(args, parser):
     _check_sparsity(args, parser)
-    config = SolverConfig(**_load_json(args.config)) if args.config else None
     result = run_trial(
         args.k, args.q, args.m, args.seed, solver=args.solver, n1=args.n1,
-        threshold_db=args.threshold, config=config,
+        threshold_db=args.threshold, config=args.config,
     )
     print(
         f"snr_db={result.snr_db:.2f} success={result.success} "
@@ -164,7 +173,6 @@ def _cmd_rip(args, parser):
 
 def _cmd_demo(args):
     out_dir = args.out or "demo_out"
-    config = SolverConfig(**_load_json(args.config)) if args.config else None
     report = run_imaging_demo(
         out_dir=out_dir,
         scene_path=args.scene,
@@ -173,7 +181,7 @@ def _cmd_demo(args):
         m_values=args.m,
         compare_q=args.compare_q,
         seed=args.seed,
-        config=config,
+        config=args.config,
     )
     for entry in report.entries:
         print(

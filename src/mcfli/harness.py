@@ -154,6 +154,8 @@ class SweepSpec:
             raise ValueError("set exactly one of q_values or vis_targets")
         if min(self.q_values, default=2) < 2:
             raise ValueError(f"q={min(self.q_values)} is below 2: one core has no core pairs")
+        if min(self.vis_targets, default=1) < 1:
+            raise ValueError(f"vis={min(self.vis_targets)} is below 1")
         if min(self.m_values) < 1:
             raise ValueError(f"m={min(self.m_values)} is below 1")
         if self.trials < 1:

@@ -294,7 +294,6 @@ class CombinedOperator:
         self.grid = layout.grid
         self.sketches = self.srop.sketches
         self.m = self.srop.m
-        self._dense: dict[str, np.ndarray] = {}
 
     @property
     def n(self) -> int:
@@ -318,7 +317,7 @@ class CombinedOperator:
         return self.adjoint(self.forward(v))
 
     def as_matrix(self, basis: str = "pixels") -> np.ndarray:
-        """Dense real matrix of the map, cached per basis.
+        """Dense real matrix of the map, built anew on each call.
 
         ``pixels`` gives the ``(m, n)`` matrix equal to ``forward`` on flat
         images.  Row ``i`` is the image of the outer product of sketch
@@ -335,22 +334,19 @@ class CombinedOperator:
         """
         if basis not in ("pixels", "visibilities"):
             raise ValueError(f"unknown basis {basis!r}")
-        if basis not in self._dense:
-            if basis == "visibilities":
-                # one block of every row, written into the returned array
-                rows = next(_visibility_rows(self.layout, self.srop, self.m))
-            else:
-                q = self.srop.q
-                chunk = max(1, AS_MATRIX_CHUNK_BYTES // (16 * max(q * q, self.n)))
-                rows = np.empty((self.m, self.n))
-                for start in range(0, self.m, chunk):
-                    a = self.sketches[start : start + chunk]
-                    spectra = self.layout.scatter(a[:, :, None] * a.conj()[:, None, :])
-                    images = _spectra_to_images(self.grid, spectra)
-                    rows[start : start + len(a)] = images.reshape(len(a), -1)
-                rows -= rows.mean(axis=0)
-            self._dense[basis] = rows
-        return self._dense[basis]
+        if basis == "visibilities":
+            # one block of every row, written into the returned array
+            return next(_visibility_rows(self.layout, self.srop, self.m))
+        q = self.srop.q
+        chunk = max(1, AS_MATRIX_CHUNK_BYTES // (16 * max(q * q, self.n)))
+        rows = np.empty((self.m, self.n))
+        for start in range(0, self.m, chunk):
+            a = self.sketches[start : start + chunk]
+            spectra = self.layout.scatter(a[:, :, None] * a.conj()[:, None, :])
+            images = _spectra_to_images(self.grid, spectra)
+            rows[start : start + len(a)] = images.reshape(len(a), -1)
+        rows -= rows.mean(axis=0)
+        return rows
 
 
 def _visibility_rows(layout: CoreLayout, srop: SropOperator, block: int):
@@ -493,8 +489,9 @@ class VisibilityOperator:
             self.factor = None
             blocks = _visibility_gram(op.layout, op.srop)
             self.coords = SimpleNamespace(n=dim, normal=partial(_gram_product, blocks))
-        # Phi is a co-isometry, so ||B|| = ||C||: the bound is certified on
-        # the D coordinates, with no FFT per step
+        # Phi is a co-isometry, so ||B|| = ||C||: Lanczos runs on the D
+        # coordinates, with no FFT per step (its value bounds the eigenvalue
+        # the top Ritz pair converged to; see operator_norm)
         self._norm_bound = operator_norm(self.coords)
 
     def _coordinates(self, v: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,9 +23,10 @@ class SolverConfig:
     tol: float = TOL_DEFAULT
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if self.tol <= 0:
+        # a float cap would end the solve loops' range() in a TypeError
+        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+            raise ValueError("max_iterations must be a positive integer")
+        if not self.tol > 0:  # NaN too: no step would ever meet it
             raise ValueError("tol must be positive")
 
 

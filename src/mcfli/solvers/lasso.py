@@ -4,8 +4,9 @@ Minimizes ``0.5 * ||y - B x||^2`` over the l1 ball of radius ``tau``.
 Steps use the Barzilai-Borwein scale with a nonmonotone Armijo line search
 over a sliding window, so the objective may rise transiently but never above
 the window maximum.  The step scale starts at ``1 / ||B||^2``, with ``||B||``
-the Lanczos upper bound from :func:`~mcfli.solvers.linop.operator_norm`, for
-dense matrices and matrix-free operators alike.
+the Lanczos value from :func:`~mcfli.solvers.linop.operator_norm`, for dense
+matrices and matrix-free operators alike.  That value bounds the eigenvalue
+its top Ritz pair converged to, which is not proven to be the largest.
 """
 
 from __future__ import annotations

@@ -49,8 +49,16 @@ def as_operator(op):
 
 
 def operator_norm(op) -> float:
-    """Upper bound on the spectral norm of the operator, from Lanczos on
-    its ``normal`` map; see :func:`_lanczos_norm`.
+    """Lanczos value for the spectral norm of the operator, from its
+    ``normal`` map; see :func:`_lanczos_norm`.
+
+    ``sqrt(theta + residual)`` bounds from above the square root of the
+    eigenvalue of ``B^T B`` that the top Ritz pair ``theta`` has converged
+    to.  Nothing proves that eigenvalue is the largest, so the value is not
+    a certified bound on ``||B||``.  Where it was checked it matched: at the
+    imaging demo's 110-core, 3000-sketch point (seed 100) it read
+    5.045756432195802 against 5.045756430709399 from ``eigvalsh`` of the
+    full Gram.
 
     The bound is stored on the operator (``op._norm_bound``) on the first
     call and returned by later ones, so a solver run repeatedly on one
@@ -65,8 +73,8 @@ def operator_norm(op) -> float:
 
 
 def _lanczos_norm(op) -> float:
-    """Lanczos upper bound on the spectral norm of ``op``, from its
-    ``normal`` map and its input length ``op.n`` alone.
+    """Lanczos value for the spectral norm of ``op``, from its ``normal``
+    map and its input length ``op.n`` alone.
 
     The Krylov basis starts from a standard normal vector of length
     ``op.n`` only: every operator acts on flat real vectors (the PSD

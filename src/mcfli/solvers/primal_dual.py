@@ -12,9 +12,11 @@ They differ only in the starting point, the primal proximal step and the
 objective.  Iterates are flat real vectors in both: the PSD program runs on
 the real matrix of its SROP map (:meth:`~mcfli.sensing.SropOperator.as_matrix`),
 whose columns are the float64 view of ``X``.  Step sizes satisfy
-``sigma * tau * ||B||^2 < 1`` with ``||B||`` the Lanczos upper bound from
-:func:`~mcfli.solvers.linop.operator_norm`, so the rule holds for the true
-norm, not only for an estimate of it.
+``sigma * tau * ||B||^2 < 1`` with ``||B||`` the Lanczos value from
+:func:`~mcfli.solvers.linop.operator_norm`.  That value bounds the eigenvalue
+of ``B^T B`` its top Ritz pair converged to; it matched the exact norm where
+it was checked, but nothing proves that eigenvalue is the largest, so the
+rule holds for the true norm only when it is.
 
 Nonnegative TV-regularized least squares for 2-D scenes has its own loop: a
 Condat-Vu splitting whose primal step also descends the smooth data term,

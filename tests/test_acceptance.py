@@ -24,7 +24,6 @@ from mcfli import (
     interferometric_matrix,
     make_grid,
     plane_wave_fields,
-    random_hermitian,
     random_layout_1d,
     solve_bpdn_l1,
     solve_lasso,
@@ -39,6 +38,8 @@ from mcfli.harness import (
     run_sweep,
     transition_midpoint,
 )
+
+from fixtures import random_hermitian
 
 THREADS = min(os.cpu_count() or 1, 8)
 REPORT_PATH = os.path.join(os.path.dirname(__file__), "..", "acceptance_report.txt")

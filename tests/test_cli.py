@@ -96,21 +96,32 @@ def test_moot_or_missing_flags_exit_2(argv, error, capsys):
      (["--m", "0"], "m=0 is below 1"),
      (["--m", "44", "0"], "m=0 is below 1"),
      (["--n1", "255"], "argument --n1: n1 must be even and >= 2, got 255"),
-     (["--n1", "0"], "argument --n1: n1 must be even and >= 2, got 0")],
+     (["--n1", "0"], "argument --n1: n1 must be even and >= 2, got 0"),
+     (["--vis", "0"], "vis=0 is below 1"),
+     (["--vis", "-3"], "vis=-3 is below 1")],
     ids=["trials-0", "negative-threshold", "k-above-n1", "q-1", "q-26-1", "m-0",
-         "m-44-0", "odd-n1", "n1-0"],
+         "m-44-0", "odd-n1", "n1-0", "vis-0", "vis-negative"],
 )
 def test_sweep_values_the_spec_rejects_exit_2(flags, error, monkeypatch, capsys):
     # a value the sweep spec refuses is a usage error, raised before any
     # trial runs (and so never inside a worker process)
     calls = []
     monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: calls.append(a))
+    cores = [] if "--vis" in flags else ["--q", "4"]
     with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--q", "4", *flags])
+        main(["sweep", *cores, *flags])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert f"mcfli sweep: error: {error}" in captured.err and captured.out == ""
     assert calls == []
+
+
+# the solver configs that the --config rows below name
+BAD_CONFIGS = {
+    "zero.json": '{"max_iterations": 0}',
+    "float.json": '{"max_iterations": 2.5}',
+    "unknown.json": '{"max_iter": 5}',
+}
 
 
 @pytest.mark.parametrize(
@@ -138,15 +149,27 @@ def test_sweep_values_the_spec_rejects_exit_2(flags, error, monkeypatch, capsys)
      (["demo", "--n1", "7"], "argument --n1: n1 must be even and >= 2, got 7"),
      (["calibrate", "--n1", "7"], "argument --n1: n1 must be even and >= 2, got 7"),
      (["demo", "--n1", "x"], "argument --n1: invalid int value: 'x'"),
-     (["rip", "--k", "65", "--n1", "64"], "k=65 exceeds the grid size 64")],
+     (["rip", "--k", "65", "--n1", "64"], "k=65 exceeds the grid size 64"),
+     (["trial", "--k", "1", "--q", "4", "--m", "8", "--config", "zero.json"],
+      "argument --config: 'zero.json': max_iterations must be a positive integer"),
+     (["trial", "--k", "1", "--q", "4", "--m", "8", "--config", "float.json"],
+      "argument --config: 'float.json': max_iterations must be a positive integer"),
+     (["demo", "--config", "unknown.json"], "argument --config: 'unknown.json': "
+      "SolverConfig.__init__() got an unexpected keyword argument 'max_iter'"),
+     (["demo", "--config", "missing.json"],
+      "argument --config: can't read 'missing.json': No such file or directory")],
     ids=["demo-compare-q-0", "demo-compare-q-1", "demo-q-0", "demo-q-1", "demo-m-0",
          "calibrate-q-0", "calibrate-sketches-0", "calibrate-negative-noise",
          "trial-q-1", "trial-m-0", "rip-q-1", "rip-m-0", "rip-trials-99", "sweep-threads-0",
          "trial-k-0", "sweep-k-0", "rip-k-0", "trial-odd-n1", "rip-odd-n1", "demo-odd-n1",
-         "calibrate-odd-n1", "demo-n1-not-int", "rip-k-above-n1"],
+         "calibrate-odd-n1", "demo-n1-not-int", "rip-k-above-n1", "trial-config-zero-iterations",
+         "trial-config-float-iterations", "demo-config-unknown-key", "demo-config-missing-file"],
 )
-def test_out_of_range_values_exit_2(argv, error, tmp_path, capsys):
+def test_out_of_range_values_exit_2(argv, error, tmp_path, monkeypatch, capsys):
     # refused while parsing: nothing runs and --out makes no directory
+    monkeypatch.chdir(tmp_path)
+    for name, text in BAD_CONFIGS.items():
+        (tmp_path / name).write_text(text)
     out = tmp_path / "d"
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(out)])
@@ -197,11 +220,14 @@ def test_calibrate_perturbation_flags(flag, perturbation, monkeypatch):
     assert [kw["perturbation"] for kw in calls] == [perturbation]
 
 
-def test_malformed_config_raises_decode_error(tmp_path):
+def test_malformed_config_raises_decode_error(tmp_path, capsys):
+    # the JSON decoder's message is a usage error, raised while parsing
     cfg = tmp_path / "solver.json"
     cfg.write_text('{"tol": ')
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(SystemExit) as exc:
         main(["trial", "--k", "1", "--q", "4", "--m", "8", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"argument --config: {str(cfg)!r}: Expecting value" in capsys.readouterr().err
 
 
 def test_rip_command(capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 
-from mcfli import random_hermitian
+from fixtures import random_hermitian
 
 
 def test_stored_matrix_exactly_hermitian():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from mcfli import SropOperator, nyquist_recover, random_hermitian
+from mcfli import SropOperator, nyquist_recover
 from mcfli.solvers import nyquist_sketch_count, nyquist_sketches
+
+from fixtures import random_hermitian
 
 
 def test_sketch_count_and_sparsity():

@@ -3,12 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mcfli import (
-    explicit_layout,
-    gaussian_vignette,
-    make_grid,
-    random_layout_1d,
-)
+from mcfli import explicit_layout, make_grid, random_layout_1d
 from mcfli.scene import SceneImage
 from mcfli.serialization import (
     grid_from_dict,
@@ -17,6 +12,8 @@ from mcfli.serialization import (
     scene_to_json,
     write_pgm,
 )
+
+from fixtures import gaussian_vignette
 
 
 def test_layout_roundtrip():

@@ -10,7 +10,6 @@ from mcfli import (
     fermat_spiral_layout,
     make_grid,
     random_layout_1d,
-    rectangles_scene,
     solve_bpdn_l1,
     solve_lasso,
     solve_trace_min_psd,
@@ -32,6 +31,8 @@ from mcfli.solvers import (
 )
 from mcfli.solvers.lasso import SAFEGUARD_WINDOW
 from mcfli.solvers.linop import LANCZOS_MAX_BASIS, LANCZOS_RTOL
+
+from fixtures import rectangles_scene
 
 
 def noiseless_instance(k=2, q=24, m=60, n1=256, seed=0):
@@ -612,6 +613,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
+        SolverConfig(max_iterations=2.5)
+    with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
+    with pytest.raises(ValueError):
+        SolverConfig(tol=float("nan"))
+    assert SolverConfig(max_iterations=np.int64(5)).max_iterations == 5
 
 

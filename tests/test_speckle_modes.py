@@ -3,20 +3,19 @@ import pytest
 
 from mcfli import (
     SceneImage,
-    delta_scene,
     draw_sketches,
     explicit_layout,
     fermat_spiral_layout,
-    gaussian_vignette,
     interferometric_matrix,
     make_grid,
     random_layout_1d,
     plane_wave_fields,
     rs_scan,
     sparse_scene,
-    zeros_scene,
 )
 from mcfli.sensing import SropOperator
+
+from fixtures import delta_scene, gaussian_vignette, zeros_scene
 
 
 def snapped_spiral(grid, q):
