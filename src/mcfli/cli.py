@@ -21,7 +21,8 @@ value that ``SweepSpec`` rejects is a usage error too, before any trial runs
 ``demo`` core count below 2 (one core has no core pairs), another count
 below 1 (``--k`` sparsity levels, ``calibrate`` cores, measurements,
 sketches, ``sweep`` worker processes), an ``--n1`` that no grid takes (odd
-or below 2), a ``trial`` or ``rip`` ``--k`` above ``--n1``, fewer than 100
+or below 2), a ``trial`` or ``rip`` ``--k`` above ``--n1``, a ``trial``
+success threshold that is not above 0 dB (NaN among them), fewer than 100
 ``rip`` probe vectors, a negative ``calibrate --noise`` and a ``--config``
 file that cannot be read, is not JSON or holds fields that ``SolverConfig``
 refuses, before ``--out`` makes a directory.
@@ -66,6 +67,18 @@ def _at_least(low, cast):
 
 _count = _at_least(1, int)  # sparsity, core, measurement, sketch and worker counts
 _cores = _at_least(2, int)  # core counts: one core has no core pairs
+
+
+def _threshold(text):
+    """An argparse ``type`` for ``trial --threshold``: a success SNR above
+    0 dB (NaN refused), as ``SweepSpec`` requires of ``sweep``."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
+_threshold.__name__ = "float"
 
 
 def _grid_size(text):
@@ -224,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_count, required=True)
     p.add_argument("--n1", type=_grid_size, default=DEFAULT_N1)
     p.add_argument("--solver", choices=SOLVERS, default=SOLVERS[0])
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD_DB)
+    p.add_argument("--threshold", type=_threshold, default=DEFAULT_THRESHOLD_DB)
     _add_shared(p, "--seed", "--config")
     p.set_defaults(func=partial(_cmd_trial, parser=p))
 

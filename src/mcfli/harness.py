@@ -160,7 +160,7 @@ class SweepSpec:
             raise ValueError(f"m={min(self.m_values)} is below 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.threshold_db <= 0:
+        if not self.threshold_db > 0:  # NaN included
             raise ValueError("threshold must be positive")
         make_grid(1, self.n1, 1.0)  # raises on an n1 no grid takes
         if max(self.k_values) > self.n1:

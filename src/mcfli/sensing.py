@@ -5,21 +5,23 @@ coefficient per core pair, a plain ``(q, q)`` complex array) -> symmetric
 rank-one projections against the sketching vectors -> mean-subtraction
 (debiasing).  The data is that one map, :meth:`CombinedOperator.forward`,
 which equals ``SropOperator(sketches, centered=True).forward(
-interferometric_matrix(scene, layout))``; a caller that wants noise adds it
-to the output.  The first map is written once, as :func:`image_to_matrix`
-(one FFT, then a gather of the visibility bins) with its exact adjoint
+interferometric_matrix(scene, layout))``; a caller that wants noise adds it to
+the output.  The first map is written once, as :func:`image_to_matrix` (one
+FFT, then a gather of the visibility bins) with its exact adjoint
 :func:`matrix_to_image` (scatter, then one inverse FFT); the fused operator,
-its dense matrix and the raster scan all compose that pair.  A sketch set is
-a complex ``(m, q)`` array, whose quadratic forms :class:`SropOperator` alone
+its dense matrices and the raster scan all compose that pair, so
+:meth:`CoreLayout.scatter` is the one sum over the core pairs that share a
+bin: a row of either dense matrix is the scatter of one sketch's outer
+product, read as an image or at the visibility bins.  A sketch set is a
+complex ``(m, q)`` array, whose quadratic forms :class:`SropOperator` alone
 takes, a bounded chunk of rows at a time, with no other copy of the array
-held.  The image reaches the measurements only through the bins the core
-pairs occupy, so the map factors as ``C Phi`` through
-:func:`image_to_visibilities` (``Phi``), the
-isometry onto real coordinates of the spectrum at those bins (adjoint
-:func:`visibilities_to_image`), which are fewer than the pixels whenever bins
-are left unoccupied.  :class:`VisibilityOperator` holds ``C`` or the upper
-triangle of its Gram ``C^T C`` and applies the map's normal operator through
-it; the TV solve of the imaging demo runs on it.
+held.  The image reaches the measurements only through the bins the core pairs
+occupy, so the map factors as ``C Phi`` through :func:`image_to_visibilities`
+(``Phi``), the isometry onto real coordinates of the spectrum at those bins
+(adjoint :func:`visibilities_to_image`), which are fewer than the pixels
+whenever bins are left unoccupied.  :class:`VisibilityOperator` holds ``C`` or
+the upper triangle of its Gram ``C^T C`` and applies the map's normal operator
+through it; the TV solve of the imaging demo runs on it.
 
 Illumination has one model: a :class:`WavefieldSet` of per-core fields,
 whose speckle for a sketch ``alpha`` is ``|sum_q alpha_q E_q|^2``.  The set
@@ -48,30 +50,26 @@ from .solvers.linop import MatrixOperator, operator_norm
 # imaginary residue allowed when casting SROP outputs to real, relative to
 # the Frobenius norm of the projected matrix
 IMAG_RESIDUE_RTOL = 1e-12
-# CombinedOperator.as_matrix builds its rows a chunk of sketches at a time,
-# with no complex temporary (the chunk's outer products or spectra) above this
-# size, half of glibc's default mmap threshold.  A temporary past the
-# threshold is mapped, and freeing it raises the threshold, which grows the
-# peak resident set of the solves that follow (by about 2 MB on the 1-D sweep
-# with a 1 MiB budget; see LANCZOS_MAX_BASIS)
-AS_MATRIX_CHUNK_BYTES = 1 << 16
-# the visibility Gram is accumulated from blocks of centred rows of the
-# (m, D) map, each at most this size; the pair products that fill a block and
-# the tile products it adds into the Gram's upper triangle take at most an
-# eighth of it.  Each block streams the stored triangle once, so a larger one
-# saves time (at the demo point, 8 MiB is 426 of 3000 rows and about 0.5 s of
-# tile products, against 0.65 s at 4 MiB), while the triangle and one block
-# stay below the (m, D) matrix.  The tiles' rows (362 at 8 MiB) also set the
-# triangle's row blocks: at D = 2460 its product makes 14 matrix-vector
-# products that stream 55 MB (the 27.7 MB triangle twice) against the full
-# Gram's 48 MB, while 20 row blocks of 128 rows made it about 1.5 times as slow.
-# The SROP's row chunks (_row_chunks) take the same eighth
-GRAM_BLOCK_BYTES = 1 << 23
-
-
-def _check_same_grid(scene: SceneImage, layout: CoreLayout):
-    if scene.grid != layout.grid:
-        raise ValueError("scene and layout are defined on different grids")
+# Every loop over chunks of rows takes its ranges from _row_chunks, under one
+# of two budgets on the bytes of a chunk's largest temporary:
+# - DENSE_CHUNK_BYTES, 64 KiB, for the dense builds (_outer_spectra), half of
+#   glibc's default mmap threshold.  A temporary past the threshold is mapped,
+#   and freeing it raises the threshold, which grows the peak resident set of
+#   the solves that follow (at 1 MiB, the 1-D sweep's peak RSS read
+#   44.2-44.4 -> 46.0-46.1 MB; see LANCZOS_MAX_BASIS).
+# - STREAM_CHUNK_BYTES, 1 MiB, for the SROP's streams of sketch rows and the
+#   tile products of the visibility Gram (square tiles of 362 rows).  At
+#   64 KiB the matrix-free 2-D TV solve took 5.61-5.86 s against 3.64-3.65 s.
+# The Gram's row blocks of the (m, D) map take eight times STREAM_CHUNK_BYTES.
+# Each block streams the stored triangle once, so a larger one saves time (at
+# the demo point, 8 MiB is 426 of 3000 rows and about 0.5 s of tile products,
+# against 0.65 s at 4 MiB), while the triangle and one block stay below the
+# (m, D) matrix.  The tiles also set the triangle's row blocks: at D = 2460
+# its product makes 14 matrix-vector products that stream 55 MB (the 27.7 MB
+# triangle twice) against the full Gram's 48 MB, while 20 row blocks of 128
+# rows made it about 1.5 times as slow.
+DENSE_CHUNK_BYTES = 1 << 16
+STREAM_CHUNK_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +107,8 @@ def interferometric_matrix(scene: SceneImage, layout: CoreLayout) -> np.ndarray:
     precision, the direct pixel-by-pixel sum against the plane waves,
     ``plane_wave_fields(layout).interferometric_matrix(scene.vignetted_values)``,
     which stays exact off the grid and serves as the oracle."""
-    _check_same_grid(scene, layout)
+    if scene.grid != layout.grid:
+        raise ValueError("scene and layout are defined on different grids")
     return image_to_matrix(layout, scene.vignetted_values)
 
 
@@ -118,13 +117,13 @@ def interferometric_matrix(scene: SceneImage, layout: CoreLayout) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _real_coordinates(on_real: np.ndarray, paired: np.ndarray) -> np.ndarray:
-    """Real coordinates of spectrum values ``(..., k)``: the real part of the
-    values ``on_real`` at self-conjugate bins, then ``sqrt(2) Re`` and
-    ``sqrt(2) Im`` of the values ``paired`` at one bin of each conjugate
-    pair."""
-    paired = paired * np.sqrt(2.0)
-    return np.concatenate((on_real.real, paired.real, paired.imag), axis=-1)
+def _real_coordinates(layout: CoreLayout, spectra: np.ndarray) -> np.ndarray:
+    """Real coordinates of flat spectra ``(..., n)`` at the layout's
+    occupied bins: the real part at the self-conjugate bins, then ``sqrt(2)
+    Re`` and ``sqrt(2) Im`` at one bin of each conjugate pair."""
+    real, pairs, _ = layout.visibility_bins
+    paired = spectra[..., pairs] * np.sqrt(2.0)
+    return np.concatenate((spectra[..., real].real, paired.real, paired.imag), axis=-1)
 
 
 def image_to_visibilities(layout: CoreLayout, values: np.ndarray) -> np.ndarray:
@@ -137,9 +136,7 @@ def image_to_visibilities(layout: CoreLayout, values: np.ndarray) -> np.ndarray:
     preserves inner products of images whose spectra live there, and the
     centred sensing map factors through it (:class:`VisibilityOperator`).
     """
-    real, pairs, _ = layout.visibility_bins
-    spectrum = layout.grid.fft(values).ravel()
-    return _real_coordinates(spectrum[real], spectrum[pairs])
+    return _real_coordinates(layout, layout.grid.fft(values).ravel())
 
 
 def visibilities_to_image(layout: CoreLayout, coords: np.ndarray) -> np.ndarray:
@@ -170,11 +167,11 @@ class SropOperator:
     pairs or raster steering); with ``centered=True`` the measurement mean is
     subtracted, which makes the map blind to the matrix diagonal (unit-modulus
     sketches put identical weight on every diagonal entry).  The operator
-    holds the sketch array and nothing else: ``forward``, ``adjoint`` and
-    ``as_matrix`` take the sketches a chunk of rows at a time
-    (:func:`_row_chunks`, at most an eighth of ``GRAM_BLOCK_BYTES`` of complex
-    rows) and conjugate each chunk as they go.  ``as_matrix`` gives the same
-    map as a dense real matrix on the float64 view of the Hermitian matrix.
+    holds the sketch array and nothing else: ``forward`` and ``adjoint`` take
+    the sketches a chunk of rows at a time (:func:`_row_chunks`, at most
+    ``STREAM_CHUNK_BYTES`` of complex rows) and conjugate each chunk as they
+    go.  ``as_matrix`` gives the same map as a dense real matrix on the
+    float64 view of the Hermitian matrix.
     """
 
     def __init__(self, sketches: np.ndarray, centered: bool = False):
@@ -188,7 +185,7 @@ class SropOperator:
     def _chunks(self):
         """Yield each row chunk of the sketches with a ``(rows, q)`` complex
         work array, a view into one buffer that every chunk reuses."""
-        chunks = _row_chunks(self.m, 16 * self.q)
+        chunks = _row_chunks(self.m, 16 * self.q, STREAM_CHUNK_BYTES)
         rows = max((c.stop - c.start for c in chunks), default=0)
         work = np.empty((rows, self.q), dtype=np.complex128)
         for part in chunks:
@@ -248,20 +245,17 @@ class SropOperator:
         The rows lie in the Hermitian subspace, so the matrix has the map's
         norm.
         """
-        outer = np.empty((self.m, self.q, self.q), dtype=np.complex128)
-        for part, work in self._chunks():
-            a = self.sketches[part]
-            np.multiply(a[:, :, None], np.conjugate(a, out=work)[:, None, :], out=outer[part])
-        rows = outer.view(np.float64).reshape(self.m, -1)
+        a = self.sketches
+        rows = (a[:, :, None] * a.conj()[:, None, :]).view(np.float64).reshape(self.m, -1)
         return rows - rows.mean(axis=0) if self.centered else rows
 
 
-def _row_chunks(m: int, row_bytes: int) -> list[slice]:
-    """Row ranges over ``0..m`` of at most an eighth of ``GRAM_BLOCK_BYTES``
-    each (at least one row), except that a one-row remainder joins the chunk
-    before it: numpy sends a one-row matrix product to a matrix-vector
-    product, whose bits differ from the matrix product's."""
-    size = max(1, GRAM_BLOCK_BYTES // 8 // row_bytes)
+def _row_chunks(m: int, row_bytes: int, budget: int) -> list[slice]:
+    """Row ranges over ``0..m`` of at most ``budget`` bytes each (at least
+    one row), except that a one-row remainder joins the chunk before it:
+    numpy sends a one-row matrix product to a matrix-vector product, whose
+    bits differ from the matrix product's."""
+    size = max(1, budget // row_bytes)
     edges = list(range(0, m, size))
     if len(edges) > 1 and m - edges[-1] == 1:
         edges.pop()
@@ -292,12 +286,7 @@ class CombinedOperator:
             )
         self.layout = layout
         self.grid = layout.grid
-        self.sketches = self.srop.sketches
-        self.m = self.srop.m
-
-    @property
-    def n(self) -> int:
-        return self.grid.n_points
+        self.m, self.n = self.srop.m, self.grid.n_points
 
     def _shaped(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -319,83 +308,61 @@ class CombinedOperator:
     def as_matrix(self, basis: str = "pixels") -> np.ndarray:
         """Dense real matrix of the map, built anew on each call.
 
-        ``pixels`` gives the ``(m, n)`` matrix equal to ``forward`` on flat
-        images.  Row ``i`` is the image of the outer product of sketch
-        ``i``, less the mean row.  The rows are built a chunk of sketches at
-        a time, one batched scatter and inverse FFT per chunk, and each has
-        the bits of ``matrix_to_image(layout, np.outer(a, a.conj()))``.
+        Row ``i`` is read off the scattered outer product of sketch ``i``,
+        ``layout.scatter(a a^H)`` (:func:`_outer_spectra`), less the mean
+        row.  ``pixels`` gives the ``(m, n)`` matrix equal to ``forward`` on
+        flat images: each row is its spectrum's inverse FFT, with the bits of
+        ``matrix_to_image(layout, np.outer(a, a.conj()))``.
 
         ``visibilities`` gives the ``(m, D)`` matrix ``C`` on the layout's
         ``D`` visibility coordinates, with ``forward(f) = C @
-        image_to_visibilities(layout, f)`` to rounding
-        (:func:`_visibility_rows`, with no scatter or inverse FFT).  The map
-        has rank at most ``D``, which is below ``n`` once the cores leave
+        image_to_visibilities(layout, f)`` to rounding: each row is its
+        spectrum read at the visibility bins (:func:`_visibility_rows`).  The
+        map has rank at most ``D``, which is below ``n`` once the cores leave
         bins unoccupied (2460 against 4096 for 110 cores on a 64x64 grid).
         """
         if basis not in ("pixels", "visibilities"):
             raise ValueError(f"unknown basis {basis!r}")
         if basis == "visibilities":
             # one block of every row, written into the returned array
-            return next(_visibility_rows(self.layout, self.srop, self.m))
-        q = self.srop.q
-        chunk = max(1, AS_MATRIX_CHUNK_BYTES // (16 * max(q * q, self.n)))
+            return next(_visibility_rows(self.layout, self.srop, [slice(0, self.m)]))
         rows = np.empty((self.m, self.n))
-        for start in range(0, self.m, chunk):
-            a = self.sketches[start : start + chunk]
-            spectra = self.layout.scatter(a[:, :, None] * a.conj()[:, None, :])
-            images = _spectra_to_images(self.grid, spectra)
-            rows[start : start + len(a)] = images.reshape(len(a), -1)
+        for part, spectra in _outer_spectra(self.layout, self.srop.sketches):
+            rows[part] = _spectra_to_images(self.grid, spectra).reshape(len(spectra), -1)
         rows -= rows.mean(axis=0)
         return rows
 
 
-def _visibility_rows(layout: CoreLayout, srop: SropOperator, block: int):
+def _outer_spectra(layout: CoreLayout, sketches: np.ndarray):
+    """Yield each row range of the ``(m, q)`` sketches with the spectra
+    ``layout.scatter(a a^H)`` of its rows, ``(rows, n)``; no chunk's outer
+    products or spectra exceed ``DENSE_CHUNK_BYTES`` (at least one row)."""
+    row_bytes = 16 * max(layout.order**2, layout.grid.n_points)
+    for part in _row_chunks(len(sketches), row_bytes, DENSE_CHUNK_BYTES):
+        a = sketches[part]
+        yield part, layout.scatter(a[:, :, None] * a.conj()[:, None, :])
+
+
+def _visibility_rows(layout: CoreLayout, srop: SropOperator, blocks: list[slice]):
     """Yield the centred rows of the ``(m, D)`` map on the visibility
-    coordinates, ``block`` rows at a time, as views into one buffer that
-    the next block overwrites.
+    coordinates, one row range of ``blocks`` at a time, as views into one
+    buffer that the next block overwrites.
 
-    Row ``i`` is the coordinate vector (:func:`image_to_visibilities` of the
-    spectrum) of the scattered outer product of sketch ``i``, less the mean
-    row.  The rows are formed straight into their coordinate slots: the
-    products ``a_j conj(a_k)`` of the core pairs whose bin has a slot, sorted
-    by slot and summed per slot with ``np.add.reduceat``, a chunk of
-    sketches at a time with no chunk above an eighth of
-    ``GRAM_BLOCK_BYTES``, each conjugated as it goes.  The layout must have
-    at least one core pair.
+    Row ``i`` is the coordinate vector of the scattered outer product of
+    sketch ``i`` (:func:`_outer_spectra`): the spectrum's real coordinates at
+    the visibility bins (:func:`_real_coordinates`), times the grid's
+    ``fourier_scale``.  The mean row is read the same way off the scattered
+    mean outer product, since the rows are linear in it.
     """
-    real, pairs, _ = layout.visibility_bins
-    n_real, n_slots = real.size, real.size + pairs.size
-    # the ordered pairs (j, k), diagonal included, whose bin has a slot,
-    # grouped by slot; every slot holds at least one off-diagonal pair
-    slot_of_bin = np.full(layout.grid.n_points, -1)
-    slot_of_bin[real] = np.arange(n_real)
-    slot_of_bin[pairs] = np.arange(n_real, n_slots)
-    slot = slot_of_bin[layout.bin_map.ravel()]
-    kept = np.flatnonzero(slot >= 0)
-    kept = kept[np.argsort(slot[kept], kind="stable")]
-    starts = np.searchsorted(slot[kept], np.arange(n_slots))
-    first, second = np.divmod(kept, layout.order)
     scale = layout.grid.fourier_scale
-
-    def coordinates(slot_sums):
-        return _real_coordinates(slot_sums[..., :n_real], slot_sums[..., n_real:])
-
-    sketches, m = srop.sketches, srop.m
-    # the mean row, from the mean outer product: the rows are linear in it
-    mean_outer = srop._outer_sum(np.ones(m)).ravel() / m
-    mean_row = scale * coordinates(np.add.reduceat(mean_outer[kept], starts))
-
-    chunk = max(1, GRAM_BLOCK_BYTES // 8 // (16 * kept.size))
-    rows = np.empty((min(block, m), n_real + 2 * pairs.size))
-    for start in range(0, m, block):
-        out = rows[: min(block, m - start)]
-        for lo in range(0, len(out), chunk):
-            part = slice(start + lo, start + min(lo + chunk, len(out)))
-            products = sketches[part][:, first]
-            products *= sketches[part].conj()[:, second]
-            sums = np.add.reduceat(products, starts, axis=1)
-            sums *= scale
-            out[lo : lo + len(sums)] = coordinates(sums)
+    mean = layout.scatter(srop._outer_sum(np.ones(srop.m)) / srop.m)
+    mean_row = scale * _real_coordinates(layout, mean)
+    rows = np.empty((max(b.stop - b.start for b in blocks), mean_row.size))
+    for block in blocks:
+        out = rows[: block.stop - block.start]
+        for part, spectra in _outer_spectra(layout, srop.sketches[block]):
+            out[part] = _real_coordinates(layout, spectra)
+        out *= scale
         out -= mean_row
         yield out
 
@@ -410,22 +377,22 @@ def _visibility_gram(layout: CoreLayout, srop: SropOperator) -> list[np.ndarray]
     leading ``(hi - lo)`` square, the diagonal tile, is upper-triangular with
     its diagonal halved, so :func:`_gram_product` counts it once through the
     block and once through its transpose.  Each block of
-    :func:`_visibility_rows` (``GRAM_BLOCK_BYTES`` at most) adds its tile
-    products into the blocks; no tile product exceeds an eighth of
-    ``GRAM_BLOCK_BYTES``.  The blocks take ``(D^2 + D * tile) / 2`` floats at
-    most, against ``D^2`` for the full Gram.
+    :func:`_visibility_rows` (eight times ``STREAM_CHUNK_BYTES`` at most)
+    adds its tile products into the blocks; no tile product exceeds
+    ``STREAM_CHUNK_BYTES``.  The blocks take ``(D^2 + D * tile) / 2`` floats
+    at most, against ``D^2`` for the full Gram.
     """
     real, pairs, _ = layout.visibility_bins
     dim = real.size + 2 * pairs.size
     if dim == 0:
         return []
-    tile = max(1, int(np.sqrt(GRAM_BLOCK_BYTES // 64)))
-    edges = list(range(0, dim, tile)) + [dim]
-    tiles = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    tile = max(1, int(np.sqrt(STREAM_CHUNK_BYTES // 8)))
+    tiles = [slice(lo, min(lo + tile, dim)) for lo in range(0, dim, tile)]
     sizes = [(t.stop - t.start) * (dim - t.start) for t in tiles]
     parts = np.split(np.zeros(sum(sizes)), np.cumsum(sizes)[:-1])
     blocks = [part.reshape(t.stop - t.start, -1) for t, part in zip(tiles, parts)]
-    for rows in _visibility_rows(layout, srop, max(1, GRAM_BLOCK_BYTES // (8 * dim))):
+    row_blocks = _row_chunks(srop.m, 8 * dim, 8 * STREAM_CHUNK_BYTES)
+    for rows in _visibility_rows(layout, srop, row_blocks):
         for i, (ti, block) in enumerate(zip(tiles, blocks)):
             lo = ti.start
             for tj in tiles[i:]:

@@ -90,6 +90,7 @@ def test_moot_or_missing_flags_exit_2(argv, error, capsys):
     "flags, error",
     [(["--trials", "0"], "trials must be >= 1"),
      (["--threshold=-5"], "threshold must be positive"),
+     (["--threshold", "nan"], "threshold must be positive"),
      (["--k", "300", "--n1", "256", "--threads", "2"], "k=300 exceeds the grid size 256"),
      (["--q", "1"], "q=1 is below 2"),
      (["--q", "26", "1"], "q=1 is below 2"),
@@ -99,7 +100,7 @@ def test_moot_or_missing_flags_exit_2(argv, error, capsys):
      (["--n1", "0"], "argument --n1: n1 must be even and >= 2, got 0"),
      (["--vis", "0"], "vis=0 is below 1"),
      (["--vis", "-3"], "vis=-3 is below 1")],
-    ids=["trials-0", "negative-threshold", "k-above-n1", "q-1", "q-26-1", "m-0",
+    ids=["trials-0", "negative-threshold", "nan-threshold", "k-above-n1", "q-1", "q-26-1", "m-0",
          "m-44-0", "odd-n1", "n1-0", "vis-0", "vis-negative"],
 )
 def test_sweep_values_the_spec_rejects_exit_2(flags, error, monkeypatch, capsys):
@@ -150,6 +151,12 @@ BAD_CONFIGS = {
      (["calibrate", "--n1", "7"], "argument --n1: n1 must be even and >= 2, got 7"),
      (["demo", "--n1", "x"], "argument --n1: invalid int value: 'x'"),
      (["rip", "--k", "65", "--n1", "64"], "k=65 exceeds the grid size 64"),
+     (["trial", "--k", "2", "--q", "4", "--m", "8", "--threshold=-500"],
+      "argument --threshold: must be > 0, got -500.0"),
+     (["trial", "--k", "2", "--q", "4", "--m", "8", "--threshold", "0"],
+      "argument --threshold: must be > 0, got 0.0"),
+     (["trial", "--k", "2", "--q", "4", "--m", "8", "--threshold", "nan"],
+      "argument --threshold: must be > 0, got nan"),
      (["trial", "--k", "1", "--q", "4", "--m", "8", "--config", "zero.json"],
       "argument --config: 'zero.json': max_iterations must be a positive integer"),
      (["trial", "--k", "1", "--q", "4", "--m", "8", "--config", "float.json"],
@@ -162,7 +169,8 @@ BAD_CONFIGS = {
          "calibrate-q-0", "calibrate-sketches-0", "calibrate-negative-noise",
          "trial-q-1", "trial-m-0", "rip-q-1", "rip-m-0", "rip-trials-99", "sweep-threads-0",
          "trial-k-0", "sweep-k-0", "rip-k-0", "trial-odd-n1", "rip-odd-n1", "demo-odd-n1",
-         "calibrate-odd-n1", "demo-n1-not-int", "rip-k-above-n1", "trial-config-zero-iterations",
+         "calibrate-odd-n1", "demo-n1-not-int", "rip-k-above-n1", "trial-negative-threshold",
+         "trial-zero-threshold", "trial-nan-threshold", "trial-config-zero-iterations",
          "trial-config-float-iterations", "demo-config-unknown-key", "demo-config-missing-file"],
 )
 def test_out_of_range_values_exit_2(argv, error, tmp_path, monkeypatch, capsys):

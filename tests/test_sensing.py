@@ -275,8 +275,8 @@ def test_chunked_srop_matches_the_one_shot_forms(rows, monkeypatch):
     # a budget of 2 or 3 sketch rows: 13 rows leave a one-row remainder,
     # which joins the chunk before it
     q, m = 7, 13
-    monkeypatch.setattr(sensing, "GRAM_BLOCK_BYTES", 8 * 16 * q * rows)
-    sizes = [c.stop - c.start for c in sensing._row_chunks(m, 16 * q)]
+    monkeypatch.setattr(sensing, "STREAM_CHUNK_BYTES", 16 * q * rows)
+    sizes = [c.stop - c.start for c in sensing._row_chunks(m, 16 * q, 16 * q * rows)]
     assert sizes == [rows] * (m // rows - 1) + [rows + 1]
     sk = draw_sketches(q, m, seed=12)
     h = random_hermitian(q, seed=13)
@@ -414,7 +414,7 @@ def per_row_dense(op):
     one ``np.add.at`` scatter and one inverse FFT per row."""
     grid, bins = op.grid, op.layout.bin_map.ravel()
     rows = np.empty((op.m, op.n))
-    for i, a in enumerate(op.sketches):
+    for i, a in enumerate(op.srop.sketches):
         spectrum = np.zeros(grid.n_points, dtype=np.complex128)
         np.add.at(spectrum, bins, np.outer(a, a.conj()).ravel())
         image = np.fft.fftshift(np.fft.ifftn(spectrum.reshape(grid.shape)))
@@ -512,11 +512,13 @@ def test_visibility_matrix_factors_the_pixel_matrix(case, monkeypatch):
     factored = op.as_matrix(basis="visibilities") @ phi
     assert np.linalg.norm(factored - pixels) <= 1e-13 * np.linalg.norm(pixels)
     # Phi^T G Phi is the pixel Gram, with G applied to Phi's columns through
-    # its upper blocks; a 4 KiB budget splits the build into several row
-    # blocks, pair-product chunks and tiles
+    # its upper blocks; a 512-byte stream budget splits the build into
+    # several 4 KiB row blocks and 8-row tiles, and a 1-byte dense budget
+    # into one-sketch chunks of outer-product spectra
     expect = pixels.T @ pixels
-    for budget in (sensing.GRAM_BLOCK_BYTES, 1 << 12):
-        monkeypatch.setattr(sensing, "GRAM_BLOCK_BYTES", budget)
+    for dense, stream in ((sensing.DENSE_CHUNK_BYTES, sensing.STREAM_CHUNK_BYTES), (1, 1 << 9)):
+        monkeypatch.setattr(sensing, "DENSE_CHUNK_BYTES", dense)
+        monkeypatch.setattr(sensing, "STREAM_CHUNK_BYTES", stream)
         blocks = sensing._visibility_gram(op.layout, op.srop)
         gram_phi = np.stack([sensing._gram_product(blocks, col) for col in phi.T], axis=1)
         assert np.linalg.norm(phi.T @ gram_phi - expect) <= 1e-13 * np.linalg.norm(expect)
@@ -530,11 +532,20 @@ def test_visibility_gram_holds_only_its_upper_triangle(case, monkeypatch):
     v = np.random.default_rng(4).standard_normal(dim)
     want = c.T @ (c @ v)
     full = operator_norm(SimpleNamespace(n=dim, normal=(c.T @ c).dot))
-    # a 4 KiB budget gives 8-row tiles: several blocks, the last one ragged
-    for budget in (sensing.GRAM_BLOCK_BYTES, 1 << 12):
-        monkeypatch.setattr(sensing, "GRAM_BLOCK_BYTES", budget)
-        tile = int(np.sqrt(budget // 64))
+    # budgets (dense, stream): the defaults; a 1-byte dense budget, one
+    # sketch per chunk of outer-product spectra, which builds C and the Gram
+    # with the default bits; and a 512-byte stream budget, 8-row tiles:
+    # several blocks, the last one ragged
+    default = (sensing.DENSE_CHUNK_BYTES, sensing.STREAM_CHUNK_BYTES)
+    gram = sensing._visibility_gram(op.layout, op.srop)
+    for dense, stream in (default, (1, default[1]), (1, 1 << 9)):
+        monkeypatch.setattr(sensing, "DENSE_CHUNK_BYTES", dense)
+        monkeypatch.setattr(sensing, "STREAM_CHUNK_BYTES", stream)
+        tile = int(np.sqrt(stream // 8))
         blocks = sensing._visibility_gram(op.layout, op.srop)
+        if stream == default[1]:
+            assert op.as_matrix(basis="visibilities").tobytes() == c.tobytes()
+            assert [b.tobytes() for b in blocks] == [b.tobytes() for b in gram]
         # row blocks G[lo:hi, lo:] over 0..D, views into one buffer
         assert [dim - b.shape[1] for b in blocks] == list(range(0, dim, tile))
         assert sum(len(b) for b in blocks) == dim
