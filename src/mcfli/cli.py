@@ -17,15 +17,18 @@ moot is refused beside it: ``sweep`` takes exactly one of ``--q`` and
 ``--vis``, ``demo`` one of ``--scene`` and ``--n1``, and ``calibrate`` at
 most one of ``--amplitude-ripple`` and ``--phase-aberration``.  A ``sweep``
 value that ``SweepSpec`` rejects is a usage error too, before any trial runs
-(a ``--vis`` target below 1 among them), and so are a ``trial``, ``rip`` or
-``demo`` core count below 2 (one core has no core pairs), another count
-below 1 (``--k`` sparsity levels, ``calibrate`` cores, measurements,
+(a ``--vis`` target below 1 or a ``--q`` above the ``--n1 + 1`` positions
+of the comb among them), and so are a ``--seed`` below 0, a ``trial``,
+``rip`` or ``demo`` core count below 2 (one core has no core pairs), another
+count below 1 (``--k`` sparsity levels, ``calibrate`` cores, measurements,
 sketches, ``sweep`` worker processes), an ``--n1`` that no grid takes (odd
-or below 2), a ``trial`` or ``rip`` ``--k`` above ``--n1``, a ``trial``
-success threshold that is not above 0 dB (NaN among them), fewer than 100
-``rip`` probe vectors, a negative ``calibrate --noise`` and a ``--config``
-file that cannot be read, is not JSON or holds fields that ``SolverConfig``
-refuses, before ``--out`` makes a directory.
+or below 2) or, for ``demo``, that the bar target does not fill (not a
+multiple of 64), a ``trial`` or ``rip`` ``--k`` above ``--n1`` or ``--q``
+above ``--n1 + 1``, a ``trial`` success threshold that is not above 0 dB
+(NaN among them), fewer than 100 ``rip`` probe vectors, a negative
+``calibrate --noise`` and a ``--config`` file that cannot be read, is not
+JSON or holds fields that ``SolverConfig`` refuses, before ``--out`` makes a
+directory.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .harness import (
     run_sweep,
     run_trial,
 )
+from .scene import bar_target_scene
 from .solvers import SolverConfig
 
 
@@ -81,18 +85,25 @@ def _threshold(text):
 _threshold.__name__ = "float"
 
 
-def _grid_size(text):
-    """An argparse ``type`` for ``--n1``: an int that :func:`make_grid`
-    accepts (even and at least 2)."""
-    n1 = int(text)
-    try:
-        make_grid(1, n1, 1.0)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return n1
+def _checked_int(check):
+    """An argparse ``type`` that casts a flag value to int and refuses one
+    on which ``check`` raises ``ValueError``, with its message."""
+    def parse(text):
+        value = int(text)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    parse.__name__ = "int"
+    return parse
 
 
-_grid_size.__name__ = "int"
+# --n1: an int that make_grid accepts (even and at least 2) and, for the
+# demo, whose 2-D grid the bar target fills (a multiple of 64)
+_grid_size = _checked_int(lambda n1: make_grid(1, n1, 1.0))
+_bar_grid_size = _checked_int(lambda n1: bar_target_scene(make_grid(2, n1, 1.0)))
 
 
 def _solver_config(path):
@@ -108,7 +119,7 @@ def _solver_config(path):
 
 
 _SHARED_FLAGS = {
-    "--seed": dict(type=int, default=0, help="master seed"),
+    "--seed": dict(type=_at_least(0, int), default=0, help="master seed"),
     "--out": dict(type=str, default=None, help="output path"),
     "--threads": dict(type=_count, default=1, help="worker processes"),
     "--config": dict(type=_solver_config, default=None, help="JSON solver config file"),
@@ -129,14 +140,17 @@ def _write(text, path):
         sys.stdout.write(text)
 
 
-def _check_sparsity(args, parser):
-    """Refuse a sparsity level above the grid size as a usage error."""
+def _check_sizes(args, parser):
+    """Refuse a sparsity level above the grid size, or more cores than the
+    comb's ``n1 + 1`` positions, as a usage error."""
     if args.k > args.n1:
         parser.error(f"k={args.k} exceeds the grid size {args.n1}")
+    if args.q > args.n1 + 1:
+        parser.error(f"q={args.q} exceeds the {args.n1 + 1} distinct grid positions")
 
 
 def _cmd_trial(args, parser):
-    _check_sparsity(args, parser)
+    _check_sizes(args, parser)
     result = run_trial(
         args.k, args.q, args.m, args.seed, solver=args.solver, n1=args.n1,
         threshold_db=args.threshold, config=args.config,
@@ -168,7 +182,7 @@ def _cmd_sweep(args, parser):
 
 
 def _cmd_rip(args, parser):
-    _check_sparsity(args, parser)
+    _check_sizes(args, parser)
     est = estimate_rip_constants(
         args.k, args.q, args.m, args.trials, args.seed, n1=args.n1
     )
@@ -270,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     grid = p.add_mutually_exclusive_group()
     grid.add_argument("--scene", type=str, default=None,
                       help="scene JSON file (its grid sets the size)")
-    grid.add_argument("--n1", type=_grid_size, default=64, help="grid size of the bar target")
+    grid.add_argument("--n1", type=_bar_grid_size, default=64,
+                      help="grid size of the bar target")
     p.add_argument("--q", type=_cores, default=110)
     p.add_argument("--m", type=_count, nargs="+", default=[3000])
     p.add_argument("--compare-q", type=_cores, nargs="+", default=None)

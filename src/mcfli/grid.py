@@ -59,7 +59,7 @@ class Grid:
         gx, gy = np.meshgrid(ax, ax, indexing="ij")
         return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
-    # -- unitary, origin-centered DFT ------------------------------------
+    # -- unitary, origin-centred DFT -------------------------------------
 
     def fft(self, values: np.ndarray) -> np.ndarray:
         """Unitary DFT of a grid-shaped array; bin ``k`` holds frequency ``k/fov``."""

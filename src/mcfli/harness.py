@@ -156,6 +156,8 @@ class SweepSpec:
             raise ValueError(f"q={min(self.q_values)} is below 2: one core has no core pairs")
         if min(self.vis_targets, default=1) < 1:
             raise ValueError(f"vis={min(self.vis_targets)} is below 1")
+        if min(self.k_values) < 1:
+            raise ValueError(f"k={min(self.k_values)} is below 1")
         if min(self.m_values) < 1:
             raise ValueError(f"m={min(self.m_values)} is below 1")
         if self.trials < 1:
@@ -165,6 +167,12 @@ class SweepSpec:
         make_grid(1, self.n1, 1.0)  # raises on an n1 no grid takes
         if max(self.k_values) > self.n1:
             raise ValueError(f"k={max(self.k_values)} exceeds the grid size {self.n1}")
+        if max(self.q_values, default=2) > self.n1 + 1:
+            raise ValueError(
+                f"q={max(self.q_values)} exceeds the {self.n1 + 1} distinct grid positions"
+            )
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed={self.master_seed} is below 0")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
 

@@ -37,7 +37,7 @@ class SceneImage:
 def sparse_scene(grid: Grid, k: int, seed, zero_mean: bool = True) -> SceneImage:
     """K-sparse synthetic scene: uniform support, standard-normal amplitudes.
 
-    With ``zero_mean`` the nonzero amplitudes are recentered so the whole
+    With ``zero_mean`` the nonzero amplitudes are recentred so the whole
     image sums to zero (the zero frequency then carries no signal).
     """
     if k < 0 or k > grid.n_points:

@@ -3,11 +3,11 @@
 The chain factors as: vignetted image -> interferometric matrix (one Fourier
 coefficient per core pair, a plain ``(q, q)`` complex array) -> symmetric
 rank-one projections against the sketching vectors -> mean-subtraction
-(debiasing).  The data is that one map, :meth:`CombinedOperator.forward`,
-which equals ``SropOperator(sketches, centered=True).forward(
-interferometric_matrix(scene, layout))``; a caller that wants noise adds it to
-the output.  The first map is written once, as :func:`image_to_matrix` (one
-FFT, then a gather of the visibility bins) with its exact adjoint
+(debiasing).  The data is that one map, :meth:`CombinedOperator.forward`:
+the raw projections ``SropOperator(sketches).forward(interferometric_matrix(
+scene, layout))`` less their mean; a caller that wants noise adds it to the
+output.  The first map is written once, as :func:`image_to_matrix` (one FFT,
+then a gather of the visibility bins) with its exact adjoint
 :func:`matrix_to_image` (scatter, then one inverse FFT); the fused operator,
 its dense matrices and the raster scan all compose that pair, so
 :meth:`CoreLayout.scatter` is the one sum over the core pairs that share a
@@ -162,24 +162,21 @@ def visibilities_to_image(layout: CoreLayout, coords: np.ndarray) -> np.ndarray:
 class SropOperator:
     """Hermitian matrix -> real measurements through rank-one sketches.
 
-    ``forward`` computes the quadratic forms ``a^H H a`` of the matrix against
-    each row ``a`` of the complex ``(m, q)`` sketch array (random, Nyquist
-    pairs or raster steering); with ``centered=True`` the measurement mean is
-    subtracted, which makes the map blind to the matrix diagonal (unit-modulus
-    sketches put identical weight on every diagonal entry).  The operator
-    holds the sketch array and nothing else: ``forward`` and ``adjoint`` take
-    the sketches a chunk of rows at a time (:func:`_row_chunks`, at most
-    ``STREAM_CHUNK_BYTES`` of complex rows) and conjugate each chunk as they
-    go.  ``as_matrix`` gives the same map as a dense real matrix on the
-    float64 view of the Hermitian matrix.
+    ``forward`` computes the raw quadratic forms ``a^H H a`` of the matrix
+    against each row ``a`` of the complex ``(m, q)`` sketch array (random,
+    Nyquist pairs or raster steering); :class:`CombinedOperator` debiases
+    them.  The operator holds the sketch array and nothing else: ``forward``
+    and ``adjoint`` take the sketches a chunk of rows at a time
+    (:func:`_row_chunks`, at most ``STREAM_CHUNK_BYTES`` of complex rows)
+    and conjugate each chunk as they go.  ``as_matrix`` gives the same map
+    as a dense real matrix on the float64 view of the Hermitian matrix.
     """
 
-    def __init__(self, sketches: np.ndarray, centered: bool = False):
+    def __init__(self, sketches: np.ndarray):
         sketches = np.asarray(sketches, dtype=np.complex128)
         if sketches.ndim != 2:
             raise ValueError(f"expected an (m, q) sketch array, got shape {sketches.shape}")
         self.sketches = sketches
-        self.centered = centered
         self.m, self.q = sketches.shape
 
     def _chunks(self):
@@ -210,23 +207,18 @@ class SropOperator:
                 f"non-Hermitian input: imaginary residue {residue:.2e} "
                 f"exceeds {IMAG_RESIDUE_RTOL:.0e} * ||H||_F"
             )
-        out = y.real
-        if self.centered:
-            out = out - out.mean()
-        return out
+        return y.real
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         """Weighted sum of the sketch outer products; exactly Hermitian."""
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (self.m,):
             raise ValueError(f"expected {self.m} weights, got shape {z.shape}")
-        if self.centered:
-            z = z - z.mean()
         return self._outer_sum(z)
 
     def _outer_sum(self, z: np.ndarray) -> np.ndarray:
-        """``sum_i z_i a_i a_i^H``, uncentred, as ``a^T (conj(a) z)`` summed
-        over the row chunks."""
+        """``sum_i z_i a_i a_i^H`` as ``a^T (conj(a) z)`` summed over the row
+        chunks."""
         out = np.zeros((self.q, self.q), dtype=np.complex128)
         for part, work in self._chunks():
             a = self.sketches[part]
@@ -238,26 +230,24 @@ class SropOperator:
     def as_matrix(self) -> np.ndarray:
         """Dense real ``(m, 2 q^2)`` matrix of the map.
 
-        Row ``i`` is the float64 view of ``a_i a_i^H``, less the mean row
-        when the operator is centred, so ``as_matrix() @
+        Row ``i`` is the float64 view of ``a_i a_i^H``, so ``as_matrix() @
         h.view(np.float64).ravel()`` equals ``forward(h)`` for Hermitian
         ``h`` (``a^H h a`` is the real inner product of ``h`` with ``a a^H``).
         The rows lie in the Hermitian subspace, so the matrix has the map's
         norm.
         """
         a = self.sketches
-        rows = (a[:, :, None] * a.conj()[:, None, :]).view(np.float64).reshape(self.m, -1)
-        return rows - rows.mean(axis=0) if self.centered else rows
+        return (a[:, :, None] * a.conj()[:, None, :]).view(np.float64).reshape(self.m, -1)
 
 
 def _row_chunks(m: int, row_bytes: int, budget: int) -> list[slice]:
     """Row ranges over ``0..m`` of at most ``budget`` bytes each (at least
-    one row), except that a one-row remainder joins the chunk before it:
-    numpy sends a one-row matrix product to a matrix-vector product, whose
-    bits differ from the matrix product's."""
+    one row), except that a one-row remainder of chunks of several rows joins
+    the chunk before it: numpy sends a one-row matrix product to a
+    matrix-vector product, whose bits differ from the matrix product's."""
     size = max(1, budget // row_bytes)
     edges = list(range(0, m, size))
-    if len(edges) > 1 and m - edges[-1] == 1:
+    if size > 1 and len(edges) > 1 and m - edges[-1] == 1:
         edges.pop()
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:] + [m])]
 
@@ -271,15 +261,17 @@ class CombinedOperator:
     """The full debiased sensing map from a real image to measurements.
 
     ``forward`` takes a flat (or grid-shaped) real image of the layout's grid
-    and returns the centered projections of its interferometric matrix.
-    ``adjoint`` is the exact transpose and ``normal`` their composition.
+    and returns the projections of its interferometric matrix less their
+    mean, which hides the matrix diagonal (unit-modulus sketches weigh every
+    diagonal entry alike).  ``adjoint`` is the exact transpose, the SROP
+    adjoint of the centred weights, and ``normal`` their composition.
     ``as_matrix`` materializes the map as a dense ``(m, n)`` array,
     worthwhile for the desk-scale Monte-Carlo runs, or as its ``(m, D)``
     factor on the ``D`` visibility coordinates.
     """
 
     def __init__(self, layout: CoreLayout, sketches: np.ndarray):
-        self.srop = SropOperator(sketches, centered=True)
+        self.srop = SropOperator(sketches)
         if self.srop.q != layout.order:
             raise ValueError(
                 f"sketch length {self.srop.q} != number of cores {layout.order}"
@@ -297,10 +289,12 @@ class CombinedOperator:
         raise ValueError(f"image shape {v.shape} does not match the grid")
 
     def forward(self, v: np.ndarray) -> np.ndarray:
-        return self.srop.forward(image_to_matrix(self.layout, self._shaped(v)))
+        y = self.srop.forward(image_to_matrix(self.layout, self._shaped(v)))
+        return y - y.mean()
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
-        return matrix_to_image(self.layout, self.srop.adjoint(z)).ravel()
+        z = np.asarray(z, dtype=np.float64)
+        return matrix_to_image(self.layout, self.srop.adjoint(z - z.mean())).ravel()
 
     def normal(self, v: np.ndarray) -> np.ndarray:
         return self.adjoint(self.forward(v))
@@ -329,6 +323,7 @@ class CombinedOperator:
         rows = np.empty((self.m, self.n))
         for part, spectra in _outer_spectra(self.layout, self.srop.sketches):
             rows[part] = _spectra_to_images(self.grid, spectra).reshape(len(spectra), -1)
+        # the debiasing, as the mean of the held rows: the sweep CSVs' bits
         rows -= rows.mean(axis=0)
         return rows
 
@@ -355,6 +350,7 @@ def _visibility_rows(layout: CoreLayout, srop: SropOperator, blocks: list[slice]
     mean outer product, since the rows are linear in it.
     """
     scale = layout.grid.fourier_scale
+    # the debiasing, off the mean outer product: the Gram never holds all rows
     mean = layout.scatter(srop._outer_sum(np.ones(srop.m)) / srop.m)
     mean_row = scale * _real_coordinates(layout, mean)
     rows = np.empty((max(b.stop - b.start for b in blocks), mean_row.size))

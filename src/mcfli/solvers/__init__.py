@@ -6,11 +6,7 @@ from .config import RecoveryResult, SolverConfig
 from .lasso import solve_lasso
 from .linop import MatrixOperator, as_operator, operator_norm
 from .metrics import vignetted_snr
-from .nyquist import (
-    nyquist_recover,
-    nyquist_sketch_count,
-    nyquist_sketches,
-)
+from .nyquist import nyquist_recover, nyquist_sketches
 from .primal_dual import (
     div2d,
     grad2d,
@@ -38,7 +34,6 @@ __all__ = [
     "solve_trace_min_psd",
     "solve_tv_nonneg",
     "nyquist_recover",
-    "nyquist_sketch_count",
     "nyquist_sketches",
     "vignetted_snr",
     "project_l1_ball",

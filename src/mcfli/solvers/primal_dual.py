@@ -153,7 +153,7 @@ def solve_bpdn_l1(
 def solve_trace_min_psd(
     srop_op, y: np.ndarray, eps: float, config: SolverConfig | None = None
 ) -> RecoveryResult:
-    """Recover a PSD matrix from raw (uncentered) rank-one projections.
+    """Recover a PSD matrix from its raw rank-one projections (no debiasing).
 
     Minimizes the trace, which equals the nuclear norm on the PSD cone, under
     an l1 bound on the measurement misfit.  The loop runs on

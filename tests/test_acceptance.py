@@ -138,13 +138,18 @@ def test_criterion_02_adjoints():
     check(op2.forward, op2.adjoint, op2.n, op2.m)
 
     # rank-one projection operator, raw and centered
-    for centered, seed in ((False, 24), (True, 25)):
-        srop = SropOperator(draw_sketches(9, 33, seed=seed), centered=centered)
+    def mk_h():
+        return random_hermitian(9, seed=rng.integers(2**31))
 
-        def mk_h():
-            return random_hermitian(9, seed=rng.integers(2**31))
+    raw = SropOperator(draw_sketches(9, 33, seed=24))
+    check(raw.forward, raw.adjoint, None, raw.m, make_v=mk_h)
+    srop = SropOperator(draw_sketches(9, 33, seed=25))
 
-        check(srop.forward, srop.adjoint, None, srop.m, make_v=mk_h)
+    def centred_forward(h):
+        y = srop.forward(h)
+        return y - y.mean()
+
+    check(centred_forward, lambda z: srop.adjoint(z - z.mean()), None, srop.m, make_v=mk_h)
 
     # gather/scatter and the unitary transform
     def mk_u():
@@ -201,7 +206,7 @@ def test_criterion_04_moment_identities():
     q, m = 8, 10**5
     j_mat = random_hermitian(q, seed=40, hollow=True)
     sk = draw_sketches(q, m, seed=41)
-    op = SropOperator(sk, centered=False)
+    op = SropOperator(sk)
     y = op.forward(j_mat)
 
     mean_se = y.std(ddof=1) / np.sqrt(m)
@@ -332,12 +337,12 @@ def test_criterion_07_trace_min():
     truth = np.outer(v, v.conj())
 
     sk = draw_sketches(q, 24, seed=71)
-    op = SropOperator(sk, centered=False)
+    op = SropOperator(sk)
     res = solve_trace_min_psd(op, op.forward(truth), 0.0)
     rel = np.linalg.norm(res.estimate - truth) / np.linalg.norm(truth)
 
     sk4 = draw_sketches(q, 4, seed=72)
-    op4 = SropOperator(sk4, centered=False)
+    op4 = SropOperator(sk4)
     res4 = solve_trace_min_psd(
         op4, op4.forward(truth), 0.0, SolverConfig(max_iterations=6000)
     )

@@ -69,7 +69,7 @@ def test_sweep_flags_set_spec(flag, field, value, monkeypatch):
     [(["sweep", "--k", "2"], "one of the arguments --q --vis is required"),
      (["sweep", "--q", "4", "--vis", "20"], "not allowed with argument"),
      (["sweep", "--q", "6", "--config", "spec.json"], "unrecognized arguments: --config"),
-     (["demo", "--scene", "scene.json", "--n1", "32"], "not allowed with argument"),
+     (["demo", "--scene", "scene.json", "--n1", "128"], "not allowed with argument"),
      (["calibrate", "--delta", "0.3"], "unrecognized arguments: --delta"),
      (["calibrate", "--amplitude-ripple", "0.1", "--phase-aberration", "0.3"],
       "not allowed with argument")],
@@ -99,9 +99,10 @@ def test_moot_or_missing_flags_exit_2(argv, error, capsys):
      (["--n1", "255"], "argument --n1: n1 must be even and >= 2, got 255"),
      (["--n1", "0"], "argument --n1: n1 must be even and >= 2, got 0"),
      (["--vis", "0"], "vis=0 is below 1"),
-     (["--vis", "-3"], "vis=-3 is below 1")],
+     (["--vis", "-3"], "vis=-3 is below 1"),
+     (["--q", "8", "--n1", "4"], "q=8 exceeds the 5 distinct grid positions")],
     ids=["trials-0", "negative-threshold", "nan-threshold", "k-above-n1", "q-1", "q-26-1", "m-0",
-         "m-44-0", "odd-n1", "n1-0", "vis-0", "vis-negative"],
+         "m-44-0", "odd-n1", "n1-0", "vis-0", "vis-negative", "q-above-n1"],
 )
 def test_sweep_values_the_spec_rejects_exit_2(flags, error, monkeypatch, capsys):
     # a value the sweep spec refuses is a usage error, raised before any
@@ -151,6 +152,15 @@ BAD_CONFIGS = {
      (["calibrate", "--n1", "7"], "argument --n1: n1 must be even and >= 2, got 7"),
      (["demo", "--n1", "x"], "argument --n1: invalid int value: 'x'"),
      (["rip", "--k", "65", "--n1", "64"], "k=65 exceeds the grid size 64"),
+     (["rip", "--q", "8", "--n1", "4"], "q=8 exceeds the 5 distinct grid positions"),
+     (["demo", "--n1", "32"],
+      "argument --n1: bar_target_scene needs n1 to be a multiple of 64"),
+     (["trial", "--k", "1", "--q", "4", "--m", "8", "--seed", "-1"],
+      "argument --seed: must be >= 0, got -1"),
+     (["sweep", "--q", "4", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+     (["rip", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+     (["demo", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+     (["calibrate", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
      (["trial", "--k", "2", "--q", "4", "--m", "8", "--threshold=-500"],
       "argument --threshold: must be > 0, got -500.0"),
      (["trial", "--k", "2", "--q", "4", "--m", "8", "--threshold", "0"],
@@ -169,7 +179,9 @@ BAD_CONFIGS = {
          "calibrate-q-0", "calibrate-sketches-0", "calibrate-negative-noise",
          "trial-q-1", "trial-m-0", "rip-q-1", "rip-m-0", "rip-trials-99", "sweep-threads-0",
          "trial-k-0", "sweep-k-0", "rip-k-0", "trial-odd-n1", "rip-odd-n1", "demo-odd-n1",
-         "calibrate-odd-n1", "demo-n1-not-int", "rip-k-above-n1", "trial-negative-threshold",
+         "calibrate-odd-n1", "demo-n1-not-int", "rip-k-above-n1", "rip-q-above-n1",
+         "demo-n1-not-64", "trial-negative-seed", "sweep-negative-seed", "rip-negative-seed",
+         "demo-negative-seed", "calibrate-negative-seed", "trial-negative-threshold",
          "trial-zero-threshold", "trial-nan-threshold", "trial-config-zero-iterations",
          "trial-config-float-iterations", "demo-config-unknown-key", "demo-config-missing-file"],
 )
@@ -188,12 +200,17 @@ def test_out_of_range_values_exit_2(argv, error, tmp_path, monkeypatch, capsys):
 
 
 def test_trial_sparsity_above_the_grid_exits_2(monkeypatch, capsys):
+    # so are more cores than the comb's n1 + 1 positions
     calls = []
     monkeypatch.setattr(cli, "run_trial", lambda *a, **k: calls.append(a))
-    with pytest.raises(SystemExit) as exc:
-        main(["trial", "--k", "65", "--q", "4", "--m", "8", "--n1", "64"])
-    assert exc.value.code == 2
-    assert "mcfli trial: error: k=65 exceeds the grid size 64" in capsys.readouterr().err
+    for flags, error in (
+        (["--k", "65", "--q", "4"], "k=65 exceeds the grid size 64"),
+        (["--k", "1", "--q", "66"], "q=66 exceeds the 65 distinct grid positions"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["trial", *flags, "--m", "8", "--n1", "64"])
+        assert exc.value.code == 2
+        assert f"mcfli trial: error: {error}" in capsys.readouterr().err
     assert calls == []
 
 

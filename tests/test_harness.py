@@ -133,6 +133,15 @@ def test_sweep_spec_validation():
         SweepSpec(k_values=[1], m_values=[1], q_values=[4], vis_targets=[10])
     with pytest.raises(ValueError):
         SweepSpec(k_values=[1], m_values=[1], q_values=[4], trials=0)
+    # the values the sweep flags refuse
+    for bad in (
+        dict(k_values=[-1]),
+        dict(k_values=[4, 0]),
+        dict(master_seed=-1),
+        dict(q_values=[8], n1=4),
+    ):
+        with pytest.raises(ValueError):
+            SweepSpec(**{"k_values": [1], "m_values": [1], "q_values": [4], **bad})
     # a solver is checked where the spec is built, not at the first trial
     # (in a worker when threads > 1)
     for solver in SOLVERS:

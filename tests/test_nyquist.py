@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mcfli import SropOperator, nyquist_recover
-from mcfli.solvers import nyquist_sketch_count, nyquist_sketches
+from mcfli.solvers import nyquist_sketches
 
 from fixtures import random_hermitian
 
@@ -11,9 +11,10 @@ def test_sketch_count_and_sparsity():
     for q in (2, 3, 5, 8):
         sk = nyquist_sketches(q)
         assert sk.shape == (q * (q - 1) + 1, q)
-        # every pair vector is 2-sparse
+        # every pair vector is 2-sparse, and e_0 closes the set
         for vec in sk[:-1]:
             assert np.count_nonzero(vec) == 2
+        assert np.array_equal(sk[-1], np.eye(q)[0])
 
 
 def test_scaled_identity_recovered_exactly():
@@ -39,7 +40,7 @@ def test_roundtrip_constant_diagonal(q):
 
 
 def test_minimal_case_q2_needs_three_measurements():
-    assert nyquist_sketch_count(2) == 3
+    assert len(nyquist_sketches(2)) == 3
     truth = np.array([[1.5, 0.2 - 0.7j], [0.2 + 0.7j, 1.5]])
     y = SropOperator(nyquist_sketches(2)).forward(truth)
     assert y.shape == (3,)

@@ -20,6 +20,7 @@ from mcfli.layout import explicit_layout, fermat_spiral_layout
 from mcfli.sensing import (
     VisibilityOperator,
     image_to_visibilities,
+    matrix_to_image,
     plane_wave_fields,
     visibilities_to_image,
 )
@@ -48,7 +49,8 @@ def direct_sum_oracle(scene, layout):
 
 def srop_centered_forward(matrix, sketches):
     """Centered projections computed entry-wise from the centered sketch
-    matrices (the slow, explicit path; coincides with the centred ``SropOperator``).
+    matrices (the slow, explicit path; coincides with the raw ``SropOperator``
+    projections less their mean).
     """
     h = np.asarray(matrix, dtype=np.complex128)
     avg = (sketches.T @ sketches.conj()) / len(sketches)  # mean of the outer products
@@ -233,8 +235,8 @@ def test_centered_forward_kills_diagonal():
     scale = max(np.linalg.norm(diag), 1.0)
     y = srop_centered_forward(diag, sk)
     assert np.abs(y).max() <= 1e-12 * scale
-    op = SropOperator(sk, centered=True)
-    assert np.abs(op.forward(diag)).max() <= 1e-12 * scale
+    raw = SropOperator(sk).forward(diag)
+    assert np.abs(raw - raw.mean()).max() <= 1e-12 * scale
 
 
 def test_centered_forward_diagonal_shift_invariance():
@@ -261,12 +263,14 @@ def test_srop_adjoint_identity():
     q, m = 7, 15
     sk = draw_sketches(q, m, seed=12)
     rng = np.random.default_rng(13)
+    op = SropOperator(sk)
     for centered in (False, True):
-        op = SropOperator(sk, centered=centered)
         h = random_hermitian(q, seed=rng.integers(2**31))
         z = rng.standard_normal(m)
-        lhs = op.forward(h) @ z
-        rhs = np.sum(np.conj(op.adjoint(z)) * h).real
+        y = op.forward(h)
+        zc = z - z.mean() if centered else z
+        lhs = (y - y.mean() if centered else y) @ z
+        rhs = np.sum(np.conj(op.adjoint(zc)) * h).real
         assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
@@ -278,19 +282,22 @@ def test_chunked_srop_matches_the_one_shot_forms(rows, monkeypatch):
     monkeypatch.setattr(sensing, "STREAM_CHUNK_BYTES", 16 * q * rows)
     sizes = [c.stop - c.start for c in sensing._row_chunks(m, 16 * q, 16 * q * rows)]
     assert sizes == [rows] * (m // rows - 1) + [rows + 1]
+    # chunks of one row (a row past the budget) take no merge
+    sizes = [c.stop - c.start for c in sensing._row_chunks(7, 200000, 1 << 16)]
+    assert sizes == [1] * 7
     sk = draw_sketches(q, m, seed=12)
     h = random_hermitian(q, seed=13)
     z = np.random.default_rng(14).standard_normal(m)
     raw = np.einsum("mq,mq->m", sk.conj(), sk @ h.T).real
     outer = (sk[:, :, None] * sk.conj()[:, None, :]).view(np.float64).reshape(m, -1)
-    for centered in (False, True):
-        op = SropOperator(sk, centered=centered)
-        zc = z - z.mean() if centered else z
+    op = SropOperator(sk)
+    y = op.forward(h)
+    assert np.array_equal(y, raw)
+    assert np.array_equal(y - y.mean(), raw - raw.mean())
+    assert np.array_equal(op.as_matrix(), outer)
+    for zc in (z, z - z.mean()):
         want = (sk.T * zc) @ sk.conj()
-        assert np.array_equal(op.forward(h), raw - raw.mean() if centered else raw)
-        assert np.linalg.norm(op.adjoint(z) - want) <= 1e-13 * np.linalg.norm(want)
-        rows_want = outer - outer.mean(axis=0) if centered else outer
-        assert np.array_equal(op.as_matrix(), rows_want)
+        assert np.linalg.norm(op.adjoint(zc) - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_srop_holds_only_its_sketches():
@@ -321,7 +328,7 @@ def test_lemma1_second_moment_identity():
     q, m = 6, 20000
     sk = draw_sketches(q, m, seed=14)
     j_mat = random_hermitian(q, seed=15, hollow=True)
-    op = SropOperator(sk, centered=False)
+    op = SropOperator(sk)
     y = op.forward(j_mat)
     recon = op.adjoint(y) / m
     # entrywise standard error of the averaged summand
@@ -340,7 +347,8 @@ def test_centered_srop_l1_sandwich():
     ratios = []
     for seed in range(100):
         sk = draw_sketches(q, m, seed=1000 + seed)
-        y = SropOperator(sk, centered=True).forward(j_unit)
+        raw = SropOperator(sk).forward(j_unit)
+        y = raw - raw.mean()
         ratios.append(np.abs(y).sum() / m)
     assert min(ratios) >= 0.05
     assert max(ratios) <= 1.2
@@ -385,11 +393,12 @@ def test_combined_matches_unfused_pipeline():
     sk = draw_sketches(8, 20, seed=5)
     scene = sparse_scene(g, 5, seed=6, zero_mean=True)
     op = CombinedOperator(lay, sk)
-    fused = op.forward(scene.values)
-    mat = interferometric_matrix(scene, lay)
-    unfused = SropOperator(sk, centered=True).forward(mat)
-    scale = max(np.linalg.norm(unfused), 1e-300)
-    assert np.linalg.norm(fused - unfused) <= 1e-12 * scale
+    srop = SropOperator(sk)
+    raw = srop.forward(interferometric_matrix(scene, lay))
+    assert np.array_equal(op.forward(scene.values), raw - raw.mean())
+    z = np.random.default_rng(7).standard_normal(op.m)
+    unfused = matrix_to_image(lay, srop.adjoint(z - z.mean())).ravel()
+    assert np.array_equal(op.adjoint(z), unfused)
 
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d-comb", "2d-spiral"])

@@ -135,14 +135,18 @@ def test_operator_norm_combined_2d_matrix_free_matches_dense():
 def test_operator_norm_centered_srop():
     # the real matrix of the SROP map acts on the float64 view of a matrix;
     # its rows lie in the Hermitian subspace, so it has the map's norm.  The
-    # centred map sends the diagonal basis elements to (almost) zero, so the
-    # products are compared relative to the whole map
+    # centred map (the raw one and its rows less their mean) sends the
+    # diagonal basis elements to (almost) zero, so the products are compared
+    # relative to the whole map
+    op = SropOperator(draw_sketches(5, 30, 3))
+    basis = hermitian_basis(op.q)
     for centered in (True, False):
-        op = SropOperator(draw_sketches(5, 30, 3), centered=centered)
         dense = op.as_matrix()
         assert dense.shape == (op.m, 2 * op.q**2)
-        basis = hermitian_basis(op.q)
         exact = np.column_stack([op.forward(e) for e in basis])
+        if centered:
+            dense -= dense.mean(axis=0)
+            exact -= exact.mean(axis=0)
         got = np.column_stack([dense @ e.view(np.float64).ravel() for e in basis])
         assert np.abs(got - exact).max() <= 1e-12 * np.linalg.norm(exact)
         assert_norm_bound(operator_norm(MatrixOperator(dense)), np.linalg.norm(exact, 2))
@@ -183,7 +187,7 @@ def test_operator_norm_bit_identical_to_list_tridiagonal(kind):
         op = MatrixOperator(noiseless_instance(q=26, m=98, seed=5)[0])
     else:
         # the operator the PSD program's norm runs on
-        op = MatrixOperator(SropOperator(draw_sketches(26, 98, 6), centered=True).as_matrix())
+        op = MatrixOperator(SropOperator(draw_sketches(26, 98, 6)).as_matrix())
     expect = lanczos_norm_reference(op)
     assert np.float64(operator_norm(op)).tobytes() == np.float64(expect).tobytes()
 
@@ -469,7 +473,7 @@ def rank_one_instance(q=6, m=24, seed=0):
     v = rng.standard_normal(q) + 1j * rng.standard_normal(q)
     truth = np.outer(v, v.conj())
     sk = draw_sketches(q, m, seed=seed + 1)
-    op = SropOperator(sk, centered=False)
+    op = SropOperator(sk)
     return op, op.forward(truth), truth
 
 
