@@ -4,7 +4,7 @@ Subcommands::
 
     mcfli trial     one reconstruction trial (prints SNR and success)
     mcfli sweep     Monte-Carlo phase-transition sweep, CSV output
-    mcfli rip       empirical restricted-isometry constants
+    mcfli rip       empirical restricted-isometry extremes (JSON of RipEstimate)
     mcfli demo      2-D imaging demo (TV reconstruction + raster scan)
     mcfli calibrate synthetic phase-shifting calibration round trip
 
@@ -17,8 +17,9 @@ moot is refused beside it: ``sweep`` takes exactly one of ``--q`` and
 ``--vis``, ``demo`` one of ``--scene`` and ``--n1``, and ``calibrate`` at
 most one of ``--amplitude-ripple`` and ``--phase-aberration``.  A ``sweep``
 value that ``SweepSpec`` rejects is a usage error too, before any trial runs
-(a ``--vis`` target below 1 or a ``--q`` above the ``--n1 + 1`` positions
-of the comb among them), and so are a ``--seed`` below 0, a ``trial``,
+(among them a ``--vis`` target below 1 or above the ``--n1 - 1`` distinct
+visibilities that the whole comb reaches, and a ``--q`` above the ``--n1 + 1``
+positions of the comb), and so are a ``--seed`` below 0, a ``trial``,
 ``rip`` or ``demo`` core count below 2 (one core has no core pairs), another
 count below 1 (``--k`` sparsity levels, ``calibrate`` cores, measurements,
 sketches, ``sweep`` worker processes), an ``--n1`` that no grid takes (odd
@@ -36,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from functools import partial
 
 from .grid import make_grid
@@ -186,15 +188,7 @@ def _cmd_rip(args, parser):
     est = estimate_rip_constants(
         args.k, args.q, args.m, args.trials, args.seed, n1=args.n1
     )
-    payload = {
-        "lower": est.lower,
-        "upper": est.upper,
-        "envelope": est.envelope,
-        "upper_ratio": est.upper_ratio,
-        "visibilities": est.visibilities,
-        "trials": est.trials,
-    }
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
+    _write(json.dumps(asdict(est), indent=2) + "\n", args.out)
     return 0
 
 

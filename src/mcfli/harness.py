@@ -11,7 +11,6 @@ reproducible and independent of execution order or thread count.
 from __future__ import annotations
 
 import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
@@ -171,6 +170,13 @@ class SweepSpec:
             raise ValueError(
                 f"q={max(self.q_values)} exceeds the {self.n1 + 1} distinct grid positions"
             )
+        # the whole comb (every layout at q = n1 + 1) hits all n1 - 1 nonzero
+        # bins: no core count reaches a larger mean
+        if max(self.vis_targets, default=1) > self.n1 - 1:
+            raise ValueError(
+                f"vis={max(self.vis_targets)} exceeds the {self.n1 - 1} distinct "
+                f"visibilities that the whole comb of {self.n1 + 1} cores reaches"
+            )
         if self.master_seed < 0:
             raise ValueError(f"master_seed={self.master_seed} is below 0")
         if self.solver not in SOLVERS:
@@ -193,7 +199,6 @@ class SweepCell:
 
 @dataclass
 class SweepResult:
-    spec: SweepSpec
     cells: list[SweepCell]
 
     def to_csv(self) -> str:
@@ -294,7 +299,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
                 mean_iterations=float(iters.mean()),
             )
         )
-    return SweepResult(spec=spec, cells=cells)
+    return SweepResult(cells=cells)
 
 
 def transition_midpoint(x_values, rates) -> float | None:
@@ -321,29 +326,20 @@ def transition_midpoint(x_values, rates) -> float | None:
 class RipEstimate:
     lower: float  # empirical min of ||B v||_1 / (m ||v||)
     upper: float  # empirical max
-    envelope: float  # scale * sqrt(visibilities) / sqrt(n)
     visibilities: int
     trials: int
-
-    @property
-    def upper_ratio(self) -> float:
-        """Upper constant against the theoretical envelope shape."""
-        return self.upper / self.envelope if self.envelope > 0 else math.inf
 
 
 def _rip_extremes(op: CombinedOperator, probes: np.ndarray) -> RipEstimate:
     """Extremes of ``||B v||_1 / (m ||v||)`` over the columns ``v`` of
-    ``probes`` (one product with the dense map), against the envelope."""
+    ``probes`` (one product with the dense map)."""
     ratios = np.abs(op.as_matrix() @ probes).sum(axis=0) / (
         op.m * np.linalg.norm(probes, axis=0)
     )
-    grid, visibilities = op.grid, op.layout.distinct_visibilities
-    envelope = grid.fourier_scale * np.sqrt(visibilities) / np.sqrt(grid.n_points)
     return RipEstimate(
         lower=float(ratios.min()),
         upper=float(ratios.max()),
-        envelope=float(envelope),
-        visibilities=visibilities,
+        visibilities=op.layout.distinct_visibilities,
         trials=probes.shape[1],
     )
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +18,7 @@ from mcfli import (
 )
 from mcfli.calibration import speckle_cross_correlation
 from mcfli.cli import main
-from mcfli.harness import SweepSpec, _child_seed
+from mcfli.harness import RipEstimate, SweepSpec, _child_seed
 
 
 def test_trial_command(capsys):
@@ -100,9 +101,11 @@ def test_moot_or_missing_flags_exit_2(argv, error, capsys):
      (["--n1", "0"], "argument --n1: n1 must be even and >= 2, got 0"),
      (["--vis", "0"], "vis=0 is below 1"),
      (["--vis", "-3"], "vis=-3 is below 1"),
-     (["--q", "8", "--n1", "4"], "q=8 exceeds the 5 distinct grid positions")],
+     (["--q", "8", "--n1", "4"], "q=8 exceeds the 5 distinct grid positions"),
+     (["--vis", "100000", "--n1", "8", "--k", "1", "--m", "4", "--trials", "1"],
+      "vis=100000 exceeds the 7 distinct visibilities that the whole comb of 9 cores reaches")],
     ids=["trials-0", "negative-threshold", "nan-threshold", "k-above-n1", "q-1", "q-26-1", "m-0",
-         "m-44-0", "odd-n1", "n1-0", "vis-0", "vis-negative", "q-above-n1"],
+         "m-44-0", "odd-n1", "n1-0", "vis-0", "vis-negative", "q-above-n1", "vis-above-comb"],
 )
 def test_sweep_values_the_spec_rejects_exit_2(flags, error, monkeypatch, capsys):
     # a value the sweep spec refuses is a usage error, raised before any
@@ -259,6 +262,8 @@ def test_rip_command(capsys):
     assert main(["rip", "--k", "2", "--q", "10", "--m", "24", "--n1", "64",
                  "--trials", "120", "--seed", "0"]) == 0
     payload = json.loads(capsys.readouterr().out)
+    # the printed keys are the estimate's fields, and nothing else
+    assert list(payload) == [f.name for f in fields(RipEstimate)]
     assert payload["lower"] > 0
     assert payload["trials"] == 120
 
@@ -329,8 +334,7 @@ def _recording_namespace():
 
 def _stub_harness(monkeypatch):
     trial = SimpleNamespace(snr_db=0.0, success=False, visibilities=0, iterations=0)
-    rip = SimpleNamespace(lower=0.0, upper=0.0, envelope=0.0, upper_ratio=0.0,
-                          visibilities=0, trials=0)
+    rip = RipEstimate(lower=0.0, upper=0.0, visibilities=0, trials=0)
     stubs = {
         "run_trial": trial,
         "run_sweep": SimpleNamespace(to_csv=lambda: ""),

@@ -139,6 +139,7 @@ def test_sweep_spec_validation():
         dict(k_values=[4, 0]),
         dict(master_seed=-1),
         dict(q_values=[8], n1=4),
+        dict(q_values=[], vis_targets=[8], n1=8),
     ):
         with pytest.raises(ValueError):
             SweepSpec(**{"k_values": [1], "m_values": [1], "q_values": [4], **bad})
@@ -148,13 +149,17 @@ def test_sweep_spec_validation():
         SweepSpec(k_values=[1], m_values=[1], q_values=[4], solver=solver)
     with pytest.raises(ValueError, match="unknown solver 'lp'"):
         SweepSpec(k_values=[1], m_values=[1], q_values=[4], solver="lp")
+    # the largest target taken is the whole comb's count, which is the mean
+    # the core-count scan reaches at its last step
+    SweepSpec(k_values=[1], m_values=[1], vis_targets=[7], n1=8)
+    assert mean_visibility_count(8, 8, seed=0) == 7.0
 
 
 def test_sweep_writes_csv():
     # the header is the SweepCell field names, so renaming a field changes
     # the CSV; this pins the columns
     spec = SweepSpec(k_values=[1], m_values=[12], q_values=[6], trials=2, n1=64)
-    assert SweepResult(spec=spec, cells=[]).to_csv() == (
+    assert SweepResult(cells=[]).to_csv() == (
         "k,q,m,vis_target,trials,success_rate,mean_visibilities,"
         "std_visibilities,mean_snr_db,mean_iterations\n"
     )
@@ -208,7 +213,6 @@ def test_rip_lower_positive_in_recovery_regime():
     est = estimate_rip_constants(2, 16, 32, trials=150, seed=1)
     assert est.lower > 0
     assert est.upper >= est.lower
-    assert est.upper_ratio <= (8.0 / 3.0) * 1.2
 
 
 def test_rip_pair_extremes_match_enumeration():
