@@ -78,6 +78,8 @@ def synth_fields(
     kind, delta = perturbation
     if kind not in ("amplitude-ripple", "phase-aberration"):
         raise ValueError(f"unknown perturbation {kind!r}")
+    if not np.isfinite(delta):
+        raise ValueError(f"perturbation depth must be finite, got {delta}")
     rng = np.random.default_rng(seed)
     profiles = np.array([_smooth_profile(layout.grid, rng) for _ in range(layout.order)])
     if kind == "amplitude-ripple":

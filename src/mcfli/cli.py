@@ -27,18 +27,24 @@ or below 2) or, for ``demo``, that the bar target does not fill (not a
 multiple of 64), a ``trial`` or ``rip`` ``--k`` above ``--n1`` or ``--q``
 above ``--n1 + 1``, a ``trial`` success threshold that is not above 0 dB
 (NaN among them), fewer than 100 ``rip`` probe vectors, a negative
-``calibrate --noise`` and a ``--config`` file that cannot be read, is not
-JSON or holds fields that ``SolverConfig`` refuses, before ``--out`` makes a
-directory.
+``calibrate --noise``, a ``calibrate`` perturbation depth that is not finite,
+a ``--config`` file that cannot be read, is not JSON or holds fields that
+``SolverConfig`` refuses (a ``true`` among them), and a ``demo --scene``
+file that cannot be read, is not one ``.npy`` array (JSON, a pickle or an
+``.npz`` archive) or does not hold a square, real, finite 2-D image whose
+side a grid takes, before ``--out`` makes a directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from functools import partial
+
+import numpy as np
 
 from .grid import make_grid
 from .harness import (
@@ -53,7 +59,7 @@ from .harness import (
     run_sweep,
     run_trial,
 )
-from .scene import bar_target_scene
+from .scene import SceneImage, bar_target_scene
 from .solvers import SolverConfig
 
 
@@ -87,6 +93,18 @@ def _threshold(text):
 _threshold.__name__ = "float"
 
 
+def _finite(text):
+    """An argparse ``type`` for the ``calibrate`` perturbation depths: a
+    finite float (NaN and inf refused)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+_finite.__name__ = "float"
+
+
 def _checked_int(check):
     """An argparse ``type`` that casts a flag value to int and refuses one
     on which ``check`` raises ``ValueError``, with its message."""
@@ -118,6 +136,34 @@ def _solver_config(path):
         raise argparse.ArgumentTypeError(f"can't read {path!r}: {exc.strerror}") from None
     except (TypeError, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"{path!r}: {exc}") from None
+
+
+def _scene(path):
+    """An argparse ``type`` for ``demo --scene``: the :class:`SceneImage` of
+    a ``.npy`` file holding one square, real, finite 2-D image, on the 2-D
+    grid of its side."""
+    try:
+        image = np.load(path, allow_pickle=False)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"can't read {path!r}: {exc.strerror}") from None
+    except (ValueError, EOFError):  # JSON, a pickle or a truncated array
+        raise argparse.ArgumentTypeError(f"{path!r} is not a .npy array") from None
+    if not isinstance(image, np.ndarray):  # an .npz archive
+        image.close()
+        raise argparse.ArgumentTypeError(f"{path!r} is not a .npy array")
+    if image.ndim != 2 or image.shape[0] != image.shape[1]:
+        raise argparse.ArgumentTypeError(
+            f"{path!r}: need a square 2-D image, got shape {image.shape}"
+        )
+    if image.dtype.kind not in "biuf":
+        raise argparse.ArgumentTypeError(f"{path!r}: need a real image, got {image.dtype}")
+    if not np.isfinite(image).all():
+        raise argparse.ArgumentTypeError(f"{path!r}: the image holds NaN or inf")
+    try:
+        grid = make_grid(2, image.shape[0], 1.0)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{path!r}: {exc}") from None
+    return SceneImage(grid=grid, values=image.astype(np.float64))
 
 
 _SHARED_FLAGS = {
@@ -196,7 +242,7 @@ def _cmd_demo(args):
     out_dir = args.out or "demo_out"
     report = run_imaging_demo(
         out_dir=out_dir,
-        scene_path=args.scene,
+        scene=args.scene,
         n1=args.n1,
         q=args.q,
         m_values=args.m,
@@ -276,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="2-D imaging demo")
     grid = p.add_mutually_exclusive_group()
-    grid.add_argument("--scene", type=str, default=None,
-                      help="scene JSON file (its grid sets the size)")
+    grid.add_argument("--scene", type=_scene, default=None,
+                      help="square 2-D .npy image (its side sets the size)")
     grid.add_argument("--n1", type=_bar_grid_size, default=64,
                       help="grid size of the bar target")
     p.add_argument("--q", type=_cores, default=110)
@@ -292,9 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=_at_least(0, float), default=0.0)
     p.add_argument("--sketches", type=_count, default=20)
     kind = p.add_mutually_exclusive_group()
-    kind.add_argument("--amplitude-ripple", type=float, metavar="DELTA",
+    kind.add_argument("--amplitude-ripple", type=_finite, metavar="DELTA",
                       help="smooth amplitude ripple of depth DELTA")
-    kind.add_argument("--phase-aberration", type=float, metavar="DELTA",
+    kind.add_argument("--phase-aberration", type=_finite, metavar="DELTA",
                       help="smooth phase screen of DELTA rad")
     _add_shared(p, "--seed", "--out")
     p.set_defaults(func=_cmd_calibrate)

@@ -20,9 +20,8 @@ import numpy as np
 from .calibration import recover_fields, render_fringes, speckle_cross_correlation, synth_fields
 from .grid import make_grid
 from .layout import downsample_layout, fermat_spiral_layout, random_layout_1d
-from .scene import bar_target_scene, sparse_scene
+from .scene import SceneImage, bar_target_scene, sparse_scene
 from .sensing import CombinedOperator, VisibilityOperator, rs_scan
-from .serialization import scene_from_json, write_pgm
 from .sketch import draw_sketches
 from .solvers import (
     SolverConfig,
@@ -97,13 +96,10 @@ def run_trial(
     Layout positions, sketch phases and the scene are drawn independently
     from the trial seed.  Recovery runs on the materialized forward matrix
     with the radius set to the true l1 norm (``lasso``) or a zero fidelity
-    budget (``bpdn``).
+    budget (``bpdn``).  A ``k`` above ``n1`` or a ``q`` below 2 is refused
+    by the layout and scene draws, before any solve.
     """
-    if k > n1:
-        raise ValueError(f"k={k} exceeds the grid size {n1}")
-    if q < 2:
-        raise ValueError("need at least two cores")
-    if solver not in SOLVERS:
+    if solver not in SOLVERS:  # else an unknown name would run BPDN
         raise ValueError(f"unknown solver {solver!r}")
     op, s_scene = _draw_operator(seed, q, m, n1)
     scene = sparse_scene(op.grid, k, s_scene, zero_mean=True)
@@ -404,9 +400,22 @@ class DemoReport:
         return self.best_snr(q, largest_m)
 
 
+def write_pgm(path, image: np.ndarray):
+    """8-bit portable graymap, image rescaled to its own min/max."""
+    image = np.asarray(image, dtype=np.float64)
+    if image.ndim != 2:
+        raise ValueError("PGM export needs a 2-D image")
+    lo, hi = image.min(), image.max()
+    scale = 255.0 / (hi - lo) if hi > lo else 0.0
+    pixels = np.round((image - lo) * scale).astype(np.uint8)
+    header = f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode()
+    with open(path, "wb") as fh:
+        fh.write(header + pixels.tobytes())
+
+
 def run_imaging_demo(
     out_dir: str | None = None,
-    scene_path: str | None = None,
+    scene: SceneImage | None = None,
     n1: int = 64,
     q: int = 110,
     m_values: list[int] | None = None,
@@ -418,8 +427,9 @@ def run_imaging_demo(
 ) -> DemoReport:
     """Simulated 2-D imaging run: spiral layout, projections, TV recovery.
 
-    Reconstructs a resolution-target cartoon for each (core count,
-    measurement count) pair, sweeping the TV weight logarithmically (powers
+    Reconstructs ``scene`` (without one, the resolution-target cartoon on
+    the ``n1``-point 2-D grid) for each (core count, measurement count)
+    pair, sweeping the TV weight logarithmically (powers
     ``rho_scale_exponents`` of the data scale) and keeping the best SNR.
     The solves run on the map in visibility coordinates
     (:class:`~mcfli.sensing.VisibilityOperator`), with the pixel solve's
@@ -429,16 +439,13 @@ def run_imaging_demo(
     of two products with the ``(m, n)`` pixel matrix; below ``m = D``, on its
     ``(m, D)`` factor.  Each entry carries the solver's ``converged`` flag,
     so a solve that stopped at the iteration cap shows.  Writes
-    graymaps, ``.npy`` arrays and a JSON report when ``out_dir`` is set.  Also
-    images the scene in raster-scanning mode for comparison.
+    graymaps, ``.npy`` arrays and a JSON report when ``out_dir`` is set; no
+    input file is opened.  Also images the scene in raster-scanning mode for
+    comparison.
     """
-    if scene_path is not None:
-        with open(scene_path) as fh:
-            scene = scene_from_json(fh.read())
-        grid = scene.grid
-    else:
-        grid = make_grid(2, n1, 1.0)
-        scene = bar_target_scene(grid)
+    if scene is None:
+        scene = bar_target_scene(make_grid(2, n1, 1.0))
+    grid = scene.grid
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     truth = scene.values

@@ -23,11 +23,16 @@ class SolverConfig:
     tol: float = TOL_DEFAULT
 
     def __post_init__(self):
-        # a float cap would end the solve loops' range() in a TypeError
-        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+        # a float cap would end the solve loops' range() in a TypeError; a
+        # bool (JSON true) is an Integral and a number, but no count or tolerance
+        if (
+            isinstance(self.max_iterations, bool)
+            or not isinstance(self.max_iterations, numbers.Integral)
+            or self.max_iterations < 1
+        ):
             raise ValueError("max_iterations must be a positive integer")
-        if not self.tol > 0:  # NaN too: no step would ever meet it
-            raise ValueError("tol must be positive")
+        if isinstance(self.tol, bool) or not self.tol > 0:  # NaN too: no step would meet it
+            raise ValueError("tol must be a positive number")
 
 
 @dataclass

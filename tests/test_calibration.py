@@ -85,6 +85,14 @@ def test_unknown_perturbation_rejected(setup_2d):
         synth_fields(layout, perturbation=("tilt", 0.1))
 
 
+@pytest.mark.parametrize("kind", ["amplitude-ripple", "phase-aberration"])
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_depth_rejected(setup_2d, kind, delta):
+    _, layout = setup_2d
+    with pytest.raises(ValueError, match="perturbation depth must be finite"):
+        synth_fields(layout, perturbation=(kind, delta))
+
+
 def test_generalized_matrix_matches_interferometric(setup_2d):
     grid, layout = setup_2d
     fields = synth_fields(layout)

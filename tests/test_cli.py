@@ -1,5 +1,6 @@
 import argparse
 import json
+import pickle
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -70,16 +71,19 @@ def test_sweep_flags_set_spec(flag, field, value, monkeypatch):
     [(["sweep", "--k", "2"], "one of the arguments --q --vis is required"),
      (["sweep", "--q", "4", "--vis", "20"], "not allowed with argument"),
      (["sweep", "--q", "6", "--config", "spec.json"], "unrecognized arguments: --config"),
-     (["demo", "--scene", "scene.json", "--n1", "128"], "not allowed with argument"),
+     (["demo", "--scene", "scene.npy", "--n1", "128"], "not allowed with argument"),
      (["calibrate", "--delta", "0.3"], "unrecognized arguments: --delta"),
      (["calibrate", "--amplitude-ripple", "0.1", "--phase-aberration", "0.3"],
       "not allowed with argument")],
     ids=["sweep-no-cores", "sweep-q-and-vis", "sweep-config", "demo-scene-and-n1",
          "calibrate-delta", "calibrate-two-kinds"],
 )
-def test_moot_or_missing_flags_exit_2(argv, error, capsys):
+def test_moot_or_missing_flags_exit_2(argv, error, tmp_path, monkeypatch, capsys):
     # a flag that would be parsed and then ignored, or a missing one that
-    # would surface as a traceback, is a usage error; no file is opened
+    # would surface as a traceback, is a usage error.  argparse reads a
+    # --scene file before it checks the exclusion, so that file is real
+    monkeypatch.chdir(tmp_path)
+    np.save("scene.npy", np.zeros((64, 64)))
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -126,7 +130,35 @@ BAD_CONFIGS = {
     "zero.json": '{"max_iterations": 0}',
     "float.json": '{"max_iterations": 2.5}',
     "unknown.json": '{"max_iter": 5}',
+    "true-iterations.json": '{"max_iterations": true}',
+    "true-tol.json": '{"tol": true}',
 }
+
+# the scene files that the --scene rows below name: text, pickled bytes, an
+# .npz archive's arrays or one array
+BAD_SCENES = {
+    "scene.json": '{"grid": {"dim": 2, "n1": 64, "fov": 1.0}, "values": []}',
+    "pickle.npy": pickle.dumps(np.zeros((64, 64))),
+    "scenes.npz": {"values": np.zeros((64, 64))},
+    "flat.npy": np.zeros(64),
+    "wide.npy": np.zeros((64, 32)),
+    "odd.npy": np.zeros((63, 63)),
+    "empty.npy": np.zeros((0, 0)),
+    "complex.npy": np.zeros((64, 64), dtype=complex),
+    "nan.npy": np.where(np.eye(64) > 0, np.nan, 0.0),
+    "inf.npy": np.full((64, 64), np.inf),
+}
+
+
+def _write_file(path, content):
+    if isinstance(content, str):
+        path.write_text(content)
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif isinstance(content, dict):
+        np.savez(path, **content)
+    else:
+        np.save(path, content)
 
 
 @pytest.mark.parametrize(
@@ -174,10 +206,35 @@ BAD_CONFIGS = {
       "argument --config: 'zero.json': max_iterations must be a positive integer"),
      (["trial", "--k", "1", "--q", "4", "--m", "8", "--config", "float.json"],
       "argument --config: 'float.json': max_iterations must be a positive integer"),
+     (["trial", "--k", "2", "--q", "8", "--m", "24", "--n1", "64",
+       "--config", "true-iterations.json"],
+      "argument --config: 'true-iterations.json': max_iterations must be a positive integer"),
+     (["trial", "--k", "2", "--q", "8", "--m", "24", "--n1", "64",
+       "--config", "true-tol.json"],
+      "argument --config: 'true-tol.json': tol must be a positive number"),
+     (["calibrate", "--amplitude-ripple", "nan"],
+      "argument --amplitude-ripple: must be finite, got nan"),
+     (["calibrate", "--phase-aberration", "inf"],
+      "argument --phase-aberration: must be finite, got inf"),
      (["demo", "--config", "unknown.json"], "argument --config: 'unknown.json': "
       "SolverConfig.__init__() got an unexpected keyword argument 'max_iter'"),
      (["demo", "--config", "missing.json"],
-      "argument --config: can't read 'missing.json': No such file or directory")],
+      "argument --config: can't read 'missing.json': No such file or directory"),
+     (["demo", "--scene", "scene.json"], "argument --scene: 'scene.json' is not a .npy array"),
+     (["demo", "--scene", "pickle.npy"], "argument --scene: 'pickle.npy' is not a .npy array"),
+     (["demo", "--scene", "scenes.npz"], "argument --scene: 'scenes.npz' is not a .npy array"),
+     (["demo", "--scene", "flat.npy"],
+      "argument --scene: 'flat.npy': need a square 2-D image, got shape (64,)"),
+     (["demo", "--scene", "wide.npy"],
+      "argument --scene: 'wide.npy': need a square 2-D image, got shape (64, 32)"),
+     (["demo", "--scene", "odd.npy"],
+      "argument --scene: 'odd.npy': n1 must be even and >= 2, got 63"),
+     (["demo", "--scene", "empty.npy"],
+      "argument --scene: 'empty.npy': n1 must be even and >= 2, got 0"),
+     (["demo", "--scene", "complex.npy"],
+      "argument --scene: 'complex.npy': need a real image, got complex128"),
+     (["demo", "--scene", "nan.npy"], "argument --scene: 'nan.npy': the image holds NaN or inf"),
+     (["demo", "--scene", "inf.npy"], "argument --scene: 'inf.npy': the image holds NaN or inf")],
     ids=["demo-compare-q-0", "demo-compare-q-1", "demo-q-0", "demo-q-1", "demo-m-0",
          "calibrate-q-0", "calibrate-sketches-0", "calibrate-negative-noise",
          "trial-q-1", "trial-m-0", "rip-q-1", "rip-m-0", "rip-trials-99", "sweep-threads-0",
@@ -186,13 +243,19 @@ BAD_CONFIGS = {
          "demo-n1-not-64", "trial-negative-seed", "sweep-negative-seed", "rip-negative-seed",
          "demo-negative-seed", "calibrate-negative-seed", "trial-negative-threshold",
          "trial-zero-threshold", "trial-nan-threshold", "trial-config-zero-iterations",
-         "trial-config-float-iterations", "demo-config-unknown-key", "demo-config-missing-file"],
+         "trial-config-float-iterations", "trial-config-true-iterations", "trial-config-true-tol",
+         "calibrate-nan-ripple", "calibrate-inf-aberration", "demo-config-unknown-key",
+         "demo-config-missing-file", "demo-scene-json", "demo-scene-pickle", "demo-scene-npz",
+         "demo-scene-1-d", "demo-scene-not-square", "demo-scene-odd-side", "demo-scene-side-0",
+         "demo-scene-complex", "demo-scene-nan", "demo-scene-inf"],
 )
 def test_out_of_range_values_exit_2(argv, error, tmp_path, monkeypatch, capsys):
     # refused while parsing: nothing runs and --out makes no directory
     monkeypatch.chdir(tmp_path)
     for name, text in BAD_CONFIGS.items():
         (tmp_path / name).write_text(text)
+    for name, content in BAD_SCENES.items():
+        _write_file(tmp_path / name, content)
     out = tmp_path / "d"
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(out)])
@@ -217,11 +280,33 @@ def test_trial_sparsity_above_the_grid_exits_2(monkeypatch, capsys):
     assert calls == []
 
 
-def test_demo_with_missing_scene_creates_no_directory(tmp_path):
+def test_demo_with_missing_scene_creates_no_directory(tmp_path, capsys):
     out = tmp_path / "d"
-    with pytest.raises(FileNotFoundError):
-        main(["demo", "--scene", str(tmp_path / "missing.json"), "--out", str(out)])
+    missing = str(tmp_path / "missing.npy")
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "--scene", missing, "--out", str(out)])
+    assert exc.value.code == 2
+    assert (f"mcfli demo: error: argument --scene: can't read {missing!r}: "
+            "No such file or directory") in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_demo_scene_matches_the_bar_target(tmp_path):
+    # the bar target saved as a .npy and read back with --scene images to
+    # the same bytes as --n1 64: report, truth graymap and reconstructions
+    cfg = tmp_path / "solver.json"
+    cfg.write_text('{"max_iterations": 60, "tol": 1e-6}')
+    scene = tmp_path / "bar.npy"
+    np.save(scene, bar_target_scene(make_grid(2, 64, 1.0)).values)
+    flags = ["--q", "12", "--m", "80", "--seed", "0", "--config", str(cfg)]
+    assert main(["demo", "--scene", str(scene), "--out", str(tmp_path / "a"), *flags]) == 0
+    assert main(["demo", "--n1", "64", "--out", str(tmp_path / "b"), *flags]) == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert {"report.json", "truth.pgm"} <= set(names)
+    assert sum(name.startswith("recon_") and name.endswith(".npy") for name in names) == 3
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_calibrate_with_a_bad_grid_creates_no_directory(tmp_path, capsys):

@@ -14,6 +14,7 @@ from mcfli.harness import (
     run_sweep,
     run_trial,
     transition_midpoint,
+    write_pgm,
 )
 from mcfli import (
     CombinedOperator,
@@ -250,6 +251,15 @@ def test_calibration_roundtrip_driver(tmp_path):
     assert report["n_frames"] == 8 * 5 + 1
     assert (tmp_path / "calibration.json").exists()
     assert (tmp_path / "fields.npy").exists()
+
+
+def test_pgm_writer(tmp_path):
+    img = np.linspace(0, 1, 64).reshape(8, 8)
+    path = tmp_path / "img.pgm"
+    write_pgm(path, img)
+    raw = path.read_bytes()
+    assert raw.startswith(b"P5\n8 8\n255\n")
+    assert len(raw) == len(b"P5\n8 8\n255\n") + 64
 
 
 def test_imaging_demo_runs_lanczos_once_per_operator(monkeypatch):

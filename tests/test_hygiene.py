@@ -260,8 +260,6 @@ TEST_ONLY_API = {
     "test_sensing",
     "DemoReport.plateau_snr": "criterion 10",
     "transition_midpoint": "criteria 5 and 6; test_acceptance, test_harness",
-    "scene_to_json": "the writer of the demo --scene format; test_serialization",
-    "grid_to_dict": "the grid of the demo --scene format; test_serialization",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -42,6 +42,16 @@ def test_q16_count_matches_brute_force():
     assert count == brute_force_distinct(lay)
 
 
+def test_layout_roundtrip():
+    # a layout is its grid and positions: rebuilding from them gives it back
+    g = make_grid(1, 64, 1.0)
+    lay = random_layout_1d(g, 8, seed=0)
+    back = explicit_layout(lay.grid, lay.positions)
+    assert np.array_equal(back.positions, lay.positions)
+    assert np.array_equal(back.bin_map, lay.bin_map)
+    assert back.grid == lay.grid
+
+
 def test_seeded_determinism():
     g = make_grid(1, 256, 1.0)
     a = random_layout_1d(g, 12, seed=42)

@@ -622,6 +622,11 @@ def test_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(tol=float("nan"))
+    # JSON true is an int and a number to Python: neither field takes it
+    with pytest.raises(ValueError):
+        SolverConfig(max_iterations=True)
+    with pytest.raises(ValueError):
+        SolverConfig(tol=True)
     assert SolverConfig(max_iterations=np.int64(5)).max_iterations == 5
 
 
